@@ -6,19 +6,22 @@
 //! `acc[v] = 2·t(v)` and the global count is `Σ_v acc[v] / 6`.
 //!
 //! Triangle counting is a single-superstep computation, so it bypasses the
-//! hybrid run loop: [`counts_prepared`] drives the kernel-level Edge-phase
+//! superstep loop: [`counts_prepared`] drives the kernel-level Edge-phase
 //! entry points directly, honoring the configuration's engine pin, pull
 //! mode, and frontier-aware compaction — the same knobs the iterative
-//! drivers expose — and [`counts_resilient`] runs the same phase through
-//! the containment layer (chunk retry, watchdog, sequential degrade). All
-//! messages are exact small integers, so every path is bit-identical.
+//! drivers expose — and [`counts_resilient`] runs the same scheduler-aware
+//! pull with chunk containment (retry, watchdog, sequential degrade). All
+//! messages are exact small integers, so every exact path is bit-identical.
+//! The racy-by-design [`PullMode::TraditionalNoAtomic`] interface is not
+//! exact here — it loses `Sum` updates when a hub's vectors span chunks —
+//! so it is refused with a [`RacyPullMode`] error.
 
 use grazelle_core::config::{EngineConfig, PullMode};
 use grazelle_core::direction::choose_scatter;
 use grazelle_core::engine::hybrid::EngineKind;
 use grazelle_core::engine::pull::{
-    active_vector_list, edge_pull, edge_pull_compact, edge_pull_resilient, EdgeSchedulers,
-    MergeEntry, PullStatus,
+    active_vector_list, edge_pull, edge_pull_traditional, Containment, EdgeSchedulers, MergeEntry,
+    PullSpace, PullStatus,
 };
 use grazelle_core::engine::push::edge_push_with_mode;
 use grazelle_core::engine::resilient::{EngineError, ResilienceContext};
@@ -42,11 +45,28 @@ pub struct TriangleCounts {
     pub per_vertex: Vec<u64>,
 }
 
+/// A triangle count was refused: the configured pull interface combines
+/// `Sum` updates without synchronization, so its count would be wrong.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RacyPullMode(pub PullMode);
+
+impl std::fmt::Display for RacyPullMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "pull mode {:?} races on Sum and cannot count triangles",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for RacyPullMode {}
+
 fn finish(kern: &IntersectKernel) -> TriangleCounts {
     let per_vertex: Vec<u64> = (0..kern.num_vertices())
         .map(|v| {
             let twice = kern.per_vertex().get_f64(v) as u64;
-            debug_assert!(twice.is_multiple_of(2), "acc[v] must be 2·t(v)");
+            assert!(twice.is_multiple_of(2), "acc[v] must be 2·t(v)");
             twice / 2
         })
         .collect();
@@ -56,38 +76,48 @@ fn finish(kern: &IntersectKernel) -> TriangleCounts {
     }
 }
 
+/// One scheduler-aware Edge-Pull phase over the full vector space,
+/// optionally under chunk containment.
+fn aware_pull(
+    kern: &IntersectKernel,
+    pg: &PreparedGraph,
+    cfg: &EngineConfig,
+    pool: &ThreadPool,
+    contain: Option<&Containment<'_>>,
+) -> PullStatus {
+    let frontier = Frontier::all(pg.num_vertices);
+    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
+    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
+    let space = PullSpace::Full(&scheds);
+    let prof = Profiler::new();
+    edge_pull(
+        &pg.vsd, kern, &frontier, space, pool, &mut merge, &prof, contain,
+    )
+}
+
 /// One Edge phase over the prepared structures, honoring `cfg.force_engine`
 /// (pull unless pinned to push — the intersect gathers are where the SIMD
 /// masks pay), `cfg.pull_mode`, and `cfg.frontier_pull` (the compacted path
 /// over an all-active frontier degenerates to the dense space and is gated
-/// off unless forced via a seeded frontier in tests).
+/// off unless forced via a seeded frontier in tests). Pulling under
+/// [`PullMode::TraditionalNoAtomic`] is refused with [`RacyPullMode`].
 pub fn counts_prepared(
     g: &Graph,
     pg: &PreparedGraph,
     cfg: &EngineConfig,
     pool: &ThreadPool,
-) -> TriangleCounts {
-    let kern = IntersectKernel::from_graph(g);
-    let frontier = Frontier::all(pg.num_vertices);
-    let prof = Profiler::new();
+) -> Result<TriangleCounts, RacyPullMode> {
     let use_pull = !matches!(cfg.force_engine, Some(EngineKind::Push));
-    if use_pull {
-        let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
-        let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
-        edge_pull(
-            &pg.vsd,
-            &kern,
-            &frontier,
-            pool,
-            &scheds,
-            &mut merge,
-            cfg.pull_mode,
-            &prof,
-        );
-    } else {
+    if use_pull && cfg.pull_mode == PullMode::TraditionalNoAtomic {
+        return Err(RacyPullMode(cfg.pull_mode));
+    }
+    let kern = IntersectKernel::from_graph(g);
+    if !use_pull {
         // Single superstep over an all-active frontier: every edge scatters,
         // so the scatter policy sees the full edge count (DESIGN.md §17).
         let mode = choose_scatter(cfg.scatter_mode, g.num_edges() as u64, pg.num_vertices);
+        let frontier = Frontier::all(pg.num_vertices);
+        let prof = Profiler::new();
         let mut spa_scratch = SpaScratch::new();
         edge_push_with_mode(
             &pg.vss,
@@ -98,8 +128,23 @@ pub fn counts_prepared(
             mode,
             &mut spa_scratch,
         );
+    } else if cfg.pull_mode == PullMode::Traditional {
+        let frontier = Frontier::all(pg.num_vertices);
+        let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
+        let prof = Profiler::new();
+        edge_pull_traditional(
+            &pg.vsd,
+            &kern,
+            &frontier,
+            pool,
+            &scheds,
+            cfg.pull_mode,
+            &prof,
+        );
+    } else {
+        aware_pull(&kern, pg, cfg, pool, None);
     }
-    finish(&kern)
+    Ok(finish(&kern))
 }
 
 /// The compacted-pull arm: runs the Edge phase over the active-vector list
@@ -121,9 +166,10 @@ pub fn counts_compacted(
     let kern = IntersectKernel::from_graph(g);
     let prof = Profiler::new();
     let active = active_vector_list(&pg.vsd, &pg.vss, seed, None);
-    // `edge_pull_compact` sizes the merge buffer to its compact scheduler.
-    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(1);
-    edge_pull_compact(&pg.vsd, &kern, seed, &active, pool, cfg, &mut merge, &prof);
+    let scheds = EdgeSchedulers::active(cfg, &active, pool);
+    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
+    let space = PullSpace::Active(&active, &scheds);
+    edge_pull(&pg.vsd, &kern, seed, space, pool, &mut merge, &prof, None);
     finish(&kern)
 }
 
@@ -141,10 +187,11 @@ pub fn counts_wide(g: &Graph, pool: &ThreadPool, chunks: usize) -> TriangleCount
     finish(&kern)
 }
 
-/// The resilient arm: the same single Edge phase through the containment
-/// layer — chunk panics retry and degrade to the sequential scalar redo,
-/// a blown watchdog surfaces as [`EngineError::Stalled`]. Bit-identical to
-/// [`counts_prepared`] on any non-erroring path (integer messages).
+/// The resilient arm: the same scheduler-aware Edge phase under chunk
+/// containment — chunk panics retry and degrade to the sequential scalar
+/// redo, a blown watchdog surfaces as [`EngineError::Stalled`].
+/// Bit-identical to [`counts_prepared`] on any non-erroring path (integer
+/// messages).
 pub fn counts_resilient(
     g: &Graph,
     pg: &PreparedGraph,
@@ -153,37 +200,25 @@ pub fn counts_resilient(
     pool: &ThreadPool,
 ) -> Result<TriangleCounts, EngineError> {
     let kern = IntersectKernel::from_graph(g);
-    let frontier = Frontier::all(pg.num_vertices);
-    let prof = Profiler::new();
-    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
-    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
-    let deadline = cfg.resilience.watchdog.map(Deadline::after);
     if let Some(inj) = rctx.injector {
         inj.set_iteration(0);
     }
-    let status = edge_pull_resilient(
-        &pg.vsd,
-        &kern,
-        &frontier,
-        pool,
-        &scheds,
-        &mut merge,
-        &prof,
-        deadline,
-        cfg.resilience.max_chunk_retries,
-        rctx.injector,
-    );
-    match status {
+    let contain = Containment {
+        deadline: cfg.resilience.watchdog.map(Deadline::after),
+        max_chunk_retries: cfg.resilience.max_chunk_retries,
+        injector: rctx.injector,
+    };
+    match aware_pull(&kern, pg, cfg, pool, Some(&contain)) {
         PullStatus::Completed | PullStatus::Degraded => Ok(finish(&kern)),
         PullStatus::Stalled => Err(EngineError::Stalled { iteration: 0 }),
     }
 }
 
 /// Convenience entry point: global count on a fresh pool.
-pub fn count(g: &Graph, cfg: &EngineConfig) -> u64 {
+pub fn count(g: &Graph, cfg: &EngineConfig) -> Result<u64, RacyPullMode> {
     let pg = PreparedGraph::new(g);
     let pool = ThreadPool::new(cfg.threads, cfg.groups);
-    counts_prepared(g, &pg, cfg, &pool).total
+    Ok(counts_prepared(g, &pg, cfg, &pool)?.total)
 }
 
 /// Sequential reference: the same adjacency intersection, driven directly
@@ -239,7 +274,7 @@ mod tests {
         let got = reference(&g);
         assert_eq!(got.total, 1);
         assert_eq!(got.per_vertex, vec![1, 1, 1]);
-        assert_eq!(count(&g, &EngineConfig::new().with_threads(2)), 1);
+        assert_eq!(count(&g, &EngineConfig::new().with_threads(2)), Ok(1));
     }
 
     #[test]
@@ -252,26 +287,29 @@ mod tests {
         let got = reference(&g);
         assert_eq!(got.total, 20);
         assert!(got.per_vertex.iter().all(|&t| t == 10));
-        assert_eq!(count(&g, &EngineConfig::new().with_threads(2)), 20);
+        assert_eq!(count(&g, &EngineConfig::new().with_threads(2)), Ok(20));
     }
 
     #[test]
     fn stars_and_bipartite_graphs_have_no_triangles() {
         let star: Vec<(u32, u32)> = (1..8u32).map(|v| (0, v)).collect();
-        assert_eq!(count(&symmetric_graph(&star, 8), &EngineConfig::new()), 0);
+        assert_eq!(
+            count(&symmetric_graph(&star, 8), &EngineConfig::new()),
+            Ok(0)
+        );
         let bipartite: Vec<(u32, u32)> = (0..3u32)
             .flat_map(|a| (3..7u32).map(move |b| (a, b)))
             .collect();
         assert_eq!(
             count(&symmetric_graph(&bipartite, 7), &EngineConfig::new()),
-            0
+            Ok(0)
         );
     }
 
     #[test]
     fn self_loops_do_not_count() {
         let g = symmetric_graph(&[(0, 1), (1, 2), (2, 0), (0, 0), (1, 1)], 3);
-        assert_eq!(count(&g, &EngineConfig::new()), 1);
+        assert_eq!(count(&g, &EngineConfig::new()), Ok(1));
     }
 
     #[test]
@@ -291,20 +329,25 @@ mod tests {
                 PullMode::Traditional,
                 PullMode::TraditionalNoAtomic,
             ] {
-                // NoAtomic sum-scatter races are confined to the
-                // traditional *pull* path, which for this kernel still
-                // writes disjoint destinations per vector — exact.
+                // The scheduler-aware pull writes each destination once and
+                // the traditional pull combines with CAS: both exact. The
+                // nonatomic pull is racy by design — it loses Sum updates on
+                // R-MAT hubs whose vectors span chunks — so it is refused.
                 let cfg = base.with_pull_mode(mode);
+                let expect = match mode {
+                    PullMode::TraditionalNoAtomic => Err(RacyPullMode(mode)),
+                    _ => Ok(want.clone()),
+                };
                 assert_eq!(
                     counts_prepared(&g, &pg, &cfg, &pool),
-                    want,
+                    expect,
                     "pull/{mode:?}x{threads}"
                 );
             }
             let cfg = base.with_force_engine(Some(EngineKind::Push));
             assert_eq!(
                 counts_prepared(&g, &pg, &cfg, &pool),
-                want,
+                Ok(want.clone()),
                 "push x{threads}"
             );
             let full = Frontier::all(g.num_vertices());

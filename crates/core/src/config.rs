@@ -316,19 +316,6 @@ impl EngineConfig {
         self.max_iterations = n;
         self
     }
-
-    /// Builds the chunk scheduler this configuration implies for an Edge
-    /// phase over `num_vectors` edge vectors.
-    pub fn edge_scheduler(&self, num_vectors: usize) -> grazelle_sched::ChunkScheduler {
-        match self.granularity {
-            Granularity::Default32n => {
-                grazelle_sched::ChunkScheduler::with_default_granularity(num_vectors, self.threads)
-            }
-            Granularity::VectorsPerChunk(c) => {
-                grazelle_sched::ChunkScheduler::with_chunk_size(num_vectors, c)
-            }
-        }
-    }
 }
 
 impl Default for EngineConfig {
@@ -355,17 +342,5 @@ mod tests {
         assert_eq!(c.groups, 2);
         let c = EngineConfig::new().with_threads(0);
         assert_eq!(c.threads, 1);
-    }
-
-    #[test]
-    fn edge_scheduler_granularity() {
-        let c = EngineConfig::new()
-            .with_threads(2)
-            .with_granularity(Granularity::VectorsPerChunk(100));
-        let s = c.edge_scheduler(1000);
-        assert_eq!(s.num_chunks(), 10);
-        let c = c.with_granularity(Granularity::Default32n);
-        let s = c.edge_scheduler(100_000);
-        assert_eq!(s.num_chunks(), 64);
     }
 }

@@ -1,9 +1,9 @@
 //! The Edge-phase direction model (DESIGN.md §16).
 //!
-//! Each iteration the hybrid and resilient drivers must pick pull or push
-//! and decide whether a pull iteration runs over the compacted
-//! active-vector list. Both decisions used to be fixed density gates
-//! duplicated across the two drivers (0.07 for direction, 0.35 for
+//! Each iteration the superstep loop must pick pull or push and decide
+//! whether a pull iteration runs over the compacted active-vector list.
+//! Both decisions used to be fixed density gates duplicated across the
+//! hybrid and resilient drivers (0.07 for direction, 0.35 for
 //! compaction); this module centralizes them behind
 //! [`DirectionPolicy`], adding the cost-model switch from the
 //! direction-optimizing BFS literature (Beamer et al.; Yang et al.,

@@ -1,4 +1,5 @@
-//! The hybrid driver: per-iteration engine selection and the run loop.
+//! The hybrid driver: per-iteration engine selection and the one superstep
+//! loop behind every run entry point.
 //!
 //! "A hybrid framework contains one engine of each type and, for each
 //! iteration, selects which to use based on the state of the frontier. Such
@@ -6,10 +7,21 @@
 //! large part of the graph is contained in the frontier" (§2). The driver
 //! also owns the synchronous iteration structure: Edge phase → barrier →
 //! Vertex phase → barrier, repeated until convergence.
+//!
+//! [`run_supersteps`] is that loop. The `run_program*` entry points run it
+//! under the no-op resilience policy; the `run_resilient*` entry points
+//! ([`crate::engine::resilient`]) run it under the contained policy.
 
-use crate::config::EngineConfig;
-use crate::engine::pull::{edge_pull, MergeEntry};
+use crate::config::{DirectionPolicy, EngineConfig, PullMode};
+use crate::engine::pull::{
+    active_vector_list, edge_pull, edge_pull_traditional, Containment, EdgeSchedulers, MergeEntry,
+    PullSpace, PullStatus,
+};
 use crate::engine::push::{edge_push, edge_push_with_mode};
+use crate::engine::resilient::{
+    redo_edge_phase, redo_vertex_phase, DivergenceGuard, EngineError, Policy, ResilientRun,
+    RunOutcome,
+};
 use crate::engine::vertex::{reset_accumulators, vertex_phase};
 use crate::engine::PreparedGraph;
 use crate::frontier::{DenseBitmap, Frontier};
@@ -17,7 +29,7 @@ use crate::program::GraphProgram;
 use crate::spmv::program_kernel;
 use crate::spmv::spa::SpaScratch;
 use crate::stats::{PhaseProfile, Profiler};
-use crate::trace::{FlightRecorder, IterationRecord, SpanClock};
+use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
 use grazelle_sched::pool::ThreadPool;
 use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::simd::Kernels;
@@ -105,6 +117,26 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     cfg: &EngineConfig,
     pool: &ThreadPool,
 ) -> ExecutionStats {
+    match run_supersteps(pg, delta, prog, cfg, &Policy::clean(), pool) {
+        Ok(run) => run.stats,
+        Err(e) => unreachable!("the no-op policy has no error exits: {e}"),
+    }
+}
+
+/// The superstep loop (paper §2, §5): each superstep picks pull or push,
+/// runs the Edge phase, folds the delta overlay, runs the Vertex phase and
+/// switches the frontier, until the program stops or `cfg.max_iterations`.
+/// `policy` decides what a fault does (DESIGN.md §9): under the no-op
+/// policy it propagates; under the contained policy it is retried, redone
+/// sequentially, rolled back, or surfaced as an [`EngineError`].
+pub(crate) fn run_supersteps<P: GraphProgram>(
+    pg: &PreparedGraph,
+    delta: Option<&PreparedGraph>,
+    prog: &P,
+    cfg: &EngineConfig,
+    policy: &Policy<'_>,
+    pool: &ThreadPool,
+) -> Result<ResilientRun, EngineError> {
     assert_eq!(
         prog.num_vertices(),
         pg.num_vertices,
@@ -116,17 +148,33 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             "delta must cover the base vertex set"
         );
     }
-    let scheds = crate::engine::pull::EdgeSchedulers::new(cfg, &pg.vsd, pool);
+    let delta = delta.filter(|d| d.num_edges > 0);
+    // The sequential redo paths call `scalar_pull_pass` directly, whose
+    // unsafe vertex-indexed reads rely on these bounds.
+    assert!(
+        prog.edge_values().len() >= pg.vsd.num_vertices(),
+        "edge_values must cover every vertex"
+    );
+    assert!(
+        prog.accumulators().len() >= pg.vsd.num_vertices(),
+        "accumulators must cover every vertex"
+    );
+    let res = policy.res;
+    let rctx = policy.rctx;
+    let threads = pool.num_threads() as u32;
+    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
     let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
     // SPA bucket storage, reused across supersteps (DESIGN.md §17) the same
-    // way `merge` persists the pull side's slot buffers.
+    // way `merge` persists the pull side's slot buffers. Safe across panic
+    // containment: workers clear their buckets at scatter start, so a
+    // discarded phase cannot leak stale entries into the redo.
     let mut spa_scratch = SpaScratch::new();
-    let kernels = Kernels::with_level(cfg.simd);
     // One masked-SpMV kernel per run (DESIGN.md §16): a struct of borrows
     // over the program's arrays and the structure's weight vectors. The same
-    // kernel serves pull (gathers) and push (messages) — both read
-    // `edge_values[src]`, which the Vertex phase updates in place.
-    let kern = program_kernel(prog, &pg.vsd, kernels);
+    // kernel serves pull (gathers), push (messages) and their sequential
+    // redos — all read `edge_values[src]`, which the Vertex phase updates
+    // in place.
+    let kern = program_kernel(prog, &pg.vsd, Kernels::with_level(cfg.simd));
     // Out-degree table for the direction model's exact frontier-cost path;
     // built lazily on the first iteration that computes a density.
     let mut out_degrees: Option<Vec<u32>> = None;
@@ -137,10 +185,19 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     let prof = Profiler::with_tracker();
     #[cfg(not(feature = "invariant-checks"))]
     let prof = Profiler::new();
-    let mut frontier = prog.initial_frontier();
-    let mut pull_iterations = 0;
-    let mut push_iterations = 0;
+    #[cfg(feature = "invariant-checks")]
+    let mut audited_pulls = 0usize;
+
+    let resumed = policy.resume(prog, &prof);
+    let resumed_from = resumed.as_ref().map(|(k, _)| *k);
+    let (start_iter, mut frontier) = resumed.unwrap_or_else(|| (0, prog.initial_frontier()));
     let mut engine_trace = Vec::new();
+    let mut iterations = start_iter;
+    let mut rollbacks_this_iter = 0u32;
+    let mut diverged_stop = false;
+    let mut guard = res
+        .divergence_guard
+        .then(|| DivergenceGuard::new(prog, &frontier));
     let mut recorder = if cfg.trace {
         FlightRecorder::new()
     } else {
@@ -148,8 +205,20 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
     };
     let start = SpanClock::start();
 
-    let mut iterations = 0;
-    for iter in 0..cfg.max_iterations {
+    let mut iter = start_iter;
+    while iter < cfg.max_iterations {
+        // Cooperative cancellation is observed only here, at the iteration
+        // boundary: every array holds the state of the last completed
+        // iteration, so a cancelled query leaves nothing torn and the pool
+        // needs no cleanup.
+        if rctx.cancel.is_some_and(|c| c.is_cancelled()) {
+            return Err(EngineError::Cancelled { iteration: iter });
+        }
+        let deadline = res.watchdog.map(Deadline::after);
+        let stalled = move || EngineError::Stalled { iteration: iter };
+        if let Some(inj) = rctx.injector {
+            inj.set_iteration(iter);
+        }
         prog.pre_iteration(iter);
         // One density computation per superstep, shared by engine
         // selection, the frontier-aware pull gate, and the trace — so the
@@ -157,7 +226,8 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // `None` for frontier-less programs (PageRank) and all-active
         // frontiers, where selection short-circuits to pull.
         let density = (prog.uses_frontier() && !frontier.is_all()).then(|| frontier.density());
-        // Disabled-recorder cost per iteration: this one branch.
+        // Disabled-recorder cost per executed superstep: this one branch
+        // (and the matching one at record-push time).
         let snap_before = recorder.is_enabled().then(|| prof.snapshot());
         let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
         reset_accumulators(prog, pool, &prof);
@@ -165,7 +235,7 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
         // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
         // engine selection, the compaction gate, and the trace.
         if density.is_some()
-            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel
+            && cfg.direction_policy == DirectionPolicy::CostModel
             && out_degrees.is_none()
         {
             out_degrees = Some(crate::direction::out_degree_table(&pg.vss));
@@ -181,6 +251,14 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             converged,
         );
         let use_pull = decision.use_pull;
+        let engine = if use_pull {
+            EngineKind::Pull
+        } else {
+            EngineKind::Push
+        };
+        // Threads that actually executed the Edge phase (1 when it
+        // degraded to the sequential scalar redo) — recorded per superstep.
+        let mut edge_parallelism = threads;
         // Active-vector count when the frontier-aware compacted pull ran.
         let mut compacted: Option<u64> = None;
         if use_pull {
@@ -190,87 +268,197 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             // messages. Bail out to the dense pass when the compacted space
             // isn't materially smaller (≥ 60% of the full array).
             let active = (cfg.frontier_pull
-                && cfg.pull_mode == crate::config::PullMode::SchedulerAware
+                && cfg.pull_mode == PullMode::SchedulerAware
                 && decision.compact)
-                .then(|| {
-                    crate::engine::pull::active_vector_list(
-                        &pg.vsd,
-                        &pg.vss,
-                        &frontier,
-                        prog.converged(),
-                    )
-                })
+                .then(|| active_vector_list(&pg.vsd, &pg.vss, &frontier, prog.converged()))
                 .filter(|a| a.total_vectors() * 10 < pg.vsd.num_vectors() * 6);
-            if let Some(a) = &active {
-                crate::engine::pull::edge_pull_compact(
-                    &pg.vsd, &kern, &frontier, a, pool, cfg, &mut merge, &prof,
-                );
+            // The contained policy always pulls scheduler-aware: chunk retry
+            // is only sound under its write discipline (DESIGN.md §9).
+            let aware = policy.contain || cfg.pull_mode == PullMode::SchedulerAware;
+            let compact = active.map(|a| {
                 compacted = Some(a.total_vectors() as u64);
-            } else {
-                scheds.reset();
+                let scheds = EdgeSchedulers::active(cfg, &a, pool);
+                (a, scheds)
+            });
+            let status = if aware {
+                let space = match &compact {
+                    Some((a, s)) => PullSpace::Active(a, s),
+                    None => PullSpace::Full(&scheds),
+                };
+                let contain = policy.contain.then_some(Containment {
+                    deadline,
+                    max_chunk_retries: res.max_chunk_retries,
+                    injector: rctx.injector,
+                });
+                let merge = &mut merge;
                 edge_pull(
                     &pg.vsd,
                     &kern,
                     &frontier,
+                    space,
                     pool,
-                    &scheds,
-                    &mut merge,
-                    cfg.pull_mode,
+                    merge,
                     &prof,
-                );
+                    contain.as_ref(),
+                )
+            } else {
+                let mode = cfg.pull_mode;
+                edge_pull_traditional(&pg.vsd, &kern, &frontier, pool, &scheds, mode, &prof);
+                PullStatus::Completed
+            };
+            match status {
+                #[cfg(feature = "invariant-checks")]
+                PullStatus::Completed if aware => audited_pulls += 1,
+                PullStatus::Completed => {}
+                PullStatus::Degraded => {
+                    // The degrade redo is a full-array sequential pass, so
+                    // the record must not claim the compacted path ran.
+                    edge_parallelism = 1;
+                    compacted = None;
+                }
+                PullStatus::Stalled => return Err(stalled()),
             }
-            pull_iterations += 1;
-            engine_trace.push(EngineKind::Pull);
         } else {
+            // RECOVERY: Edge-Push scatters with non-idempotent synchronized
+            // read-modify-writes, so a panicked push phase cannot be
+            // partially retried. Containment instead discards the phase —
+            // reset the accumulators and recompute the identical aggregate
+            // with one sequential frontier-masked pull pass (for any
+            // frontier, push-from-active-sources and pull-masked-to-active-
+            // sources produce the same per-destination aggregate).
             // Scatter discipline from the shared decision (DESIGN.md §17):
             // synchronized per-edge scatter or the SPA bucketed pipeline.
-            edge_push_with_mode(
-                &pg.vss,
-                &kern,
-                &frontier,
-                pool,
-                &prof,
-                decision.scatter,
-                &mut spa_scratch,
-            );
-            push_iterations += 1;
-            engine_trace.push(EngineKind::Push);
+            // Containment is identical for both arms: a panic anywhere in
+            // the SPA scatter/merge pipeline (like one in the synchronized
+            // scatter) discards the phase wholesale and redoes it below.
+            let pushed = policy.guard(|| {
+                edge_push_with_mode(
+                    &pg.vss,
+                    &kern,
+                    &frontier,
+                    pool,
+                    &prof,
+                    decision.scatter,
+                    &mut spa_scratch,
+                )
+            });
+            if pushed.is_none() {
+                edge_parallelism = 1;
+                if !redo_edge_phase(pg, &kern, &frontier, None, deadline, &prof) {
+                    return Err(stalled());
+                }
+            }
         }
+        engine_trace.push(engine);
         // Delta phase: combine pending-insert edges into the accumulators
-        // after the base phase (see the function doc for why this must come
-        // second and must push). The base kernel serves here too: `message`
-        // only reads the program arrays, never the base structure. Always
-        // the synchronized scatter: delta overlays are tiny and must combine
-        // into accumulators the base phase already folded, which the SPA
-        // merge's plain-store discipline does not cover.
-        if let Some(d) = delta.filter(|d| d.num_edges > 0) {
-            edge_push(&d.vss, &kern, &frontier, pool, &prof);
+        // after the base phase (see `run_program_overlay_on_pool` for why
+        // this must come second and must push). The base kernel serves here
+        // too: `message` only reads the program arrays, never the base
+        // structure. Always the synchronized scatter: delta overlays are
+        // tiny and must combine into accumulators the base phase already
+        // folded, which the SPA merge's plain-store discipline does not
+        // cover.
+        if let Some(d) = delta {
+            // RECOVERY: like the base push, the delta push's synchronized
+            // read-modify-writes cannot be partially retried — a panic
+            // discards the whole Edge phase (base aggregate included, since
+            // the partial delta commits polluted it) and recomputes it
+            // sequentially: scalar base pull, then a single-threaded delta
+            // push. Both redo passes combine from a reset accumulator, so
+            // the result is the same per-destination aggregate.
+            if policy
+                .guard(|| edge_push(&d.vss, &kern, &frontier, pool, &prof))
+                .is_none()
+            {
+                edge_parallelism = 1;
+                compacted = None;
+                if !redo_edge_phase(pg, &kern, &frontier, Some(&d.vss), deadline, &prof) {
+                    return Err(stalled());
+                }
+            }
+        }
+        if deadline.is_some_and(|dl| dl.expired()) {
+            return Err(stalled());
         }
 
-        let next = prog
+        // Injected NaN poison lands between the phases, exactly where a
+        // corrupted Edge-phase result would sit.
+        if let Some(v) = rctx.injector.and_then(|inj| inj.poison_target()) {
+            // DISJOINT: sequential-merge — fault injection between phases,
+            // single-threaded
+            prog.accumulators().set_f64(v, f64::NAN);
+        }
+
+        let mut next = prog
             .uses_frontier()
             .then(|| DenseBitmap::new(pg.num_vertices));
-        let active = vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof);
-        if let Some(nb) = next {
-            let dense = Frontier::Dense(nb);
-            // Representation switch (sparse-frontier extension): near-empty
-            // frontiers become sorted vertex lists so the next push
-            // iteration is O(|F|) instead of an O(|V|/64) bitmap scan.
-            frontier = if cfg.sparse_frontier
-                && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-            {
-                dense.to_sparse()
-            } else {
-                dense
-            };
+        // Threads that actually executed the Vertex phase (1 on the
+        // sequential panic-recovery redo) — recorded per superstep.
+        let mut vertex_parallelism = threads;
+        // RECOVERY: the Vertex phase's local update reads the (intact)
+        // accumulators and overwrites the vertex properties — for the
+        // supported programs `apply` is idempotent on *values*, so the
+        // phase can be re-run sequentially into a fresh frontier bitmap
+        // (the partially filled one is discarded). Its *return value* is
+        // not idempotent, though: a vertex whose update committed before
+        // the panic reports "unchanged" on re-run and would silently drop
+        // out of the rebuilt frontier. So either the properties are rolled
+        // back to their pre-phase state first (the divergence guard's
+        // last-good snapshot was taken before this phase touched them, and
+        // the Edge phase only writes accumulators, which `restore_into`
+        // skips), making the re-run's activation bits exact, or — with the
+        // guard off — activation is rebuilt conservatively: any vertex
+        // whose aggregate differs from the operator identity may have
+        // changed this phase. The superset is safe for the supported
+        // frontier programs (idempotent Min/Max propagation): extra active
+        // sources re-contribute values their neighbors have already
+        // absorbed, and the over-count only delays `should_stop` by at
+        // most one no-op iteration.
+        let applied = policy.guard(|| vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof));
+        let active = match applied {
+            Some(a) => a,
+            None => {
+                vertex_parallelism = 1;
+                let (fresh, active) = redo_vertex_phase(prog, guard.as_ref(), &prof);
+                next = fresh;
+                active
+            }
+        };
+        if deadline.is_some_and(|dl| dl.expired()) {
+            return Err(stalled());
         }
-        iterations = iter + 1;
+
+        // Divergence guard: a poisoned result rolls the program back to the
+        // last-good snapshot and re-runs the same iteration.
+        let restored = guard.as_mut().and_then(|g| g.check(prog, &prof));
+        let rolled_back = restored.is_some();
+        if let Some(f) = restored {
+            frontier = f;
+        } else {
+            if let Some(nb) = next {
+                let dense = Frontier::Dense(nb);
+                // Representation switch (sparse-frontier extension):
+                // near-empty frontiers become sorted vertex lists so the
+                // next push iteration is O(|F|) instead of an O(|V|/64)
+                // bitmap scan.
+                frontier = if cfg.sparse_frontier
+                    && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
+                {
+                    dense.to_sparse()
+                } else {
+                    dense
+                };
+            }
+            if let Some(g) = guard.as_mut() {
+                g.set_frontier(&frontier);
+            }
+            iterations = iter + 1;
+        }
+        // A rolled-back execution is still an executed superstep: record it
+        // (the re-run contributes a second record with the same
+        // `iteration`, so trace length = iterations + rollbacks, matching
+        // `engine_trace`).
         if let Some(before) = snap_before {
-            let engine = if use_pull {
-                EngineKind::Pull
-            } else {
-                EngineKind::Push
-            };
             // The trace reports the same density selection used (1.0 for
             // the short-circuit cases — the value `Frontier::density()`
             // returns for all-active frontiers).
@@ -282,9 +470,9 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
                 sparse_repr,
                 &before,
                 &prof.snapshot(),
-                pool.num_threads() as u32,
-                pool.num_threads() as u32,
-                false,
+                edge_parallelism,
+                vertex_parallelism,
+                rolled_back,
             );
             if let Some(av) = compacted {
                 rec.pull_compacted = true;
@@ -295,34 +483,63 @@ pub fn run_program_overlay_on_pool<P: GraphProgram>(
             rec.scatter_mode = (!use_pull).then_some(decision.scatter);
             recorder.push(rec);
         }
-        if prog.should_stop(iter, active) {
+        if rolled_back {
+            rollbacks_this_iter += 1;
+            if rollbacks_this_iter >= 2 {
+                // Persistent divergence: stop at the last finite iterate.
+                diverged_stop = true;
+                break;
+            }
+            continue; // re-run the same iteration
+        }
+        rollbacks_this_iter = 0;
+
+        policy.checkpoint(iter + 1, prog, &frontier, &prof)?;
+        let stop = prog.should_stop(iter, active);
+        iter += 1;
+        if stop {
             break;
         }
     }
 
-    // The tracker opens one audit phase per scheduler-aware pull iteration;
-    // a mismatch means an Edge phase ran unaudited (a weaving bug, not a
-    // scheduling one).
+    // The tracker opens one audit phase per scheduler-aware Edge phase and
+    // closes it when the phase completes; a mismatch means an Edge phase ran
+    // unaudited (a weaving bug, not a scheduling one).
     #[cfg(feature = "invariant-checks")]
-    if cfg.pull_mode == crate::config::PullMode::SchedulerAware {
-        if let Some(t) = prof.tracker.as_ref() {
-            assert_eq!(
-                t.phases_checked() as usize,
-                pull_iterations,
-                "every scheduler-aware Edge phase must be audited"
-            );
-        }
+    if let Some(t) = prof.tracker.as_ref() {
+        assert_eq!(
+            t.phases_checked() as usize,
+            audited_pulls,
+            "every scheduler-aware Edge phase must be audited"
+        );
     }
 
-    ExecutionStats {
-        iterations,
-        pull_iterations,
-        push_iterations,
-        wall: start.elapsed(),
-        profile: prof.snapshot(),
-        engine_trace,
-        records: recorder.into_records(),
-    }
+    let profile = prof.snapshot();
+    let pull_iterations = engine_trace
+        .iter()
+        .filter(|&&k| k == EngineKind::Pull)
+        .count();
+    let push_iterations = engine_trace.len() - pull_iterations;
+    let outcome = if diverged_stop {
+        RunOutcome::DivergedRecovered
+    } else if !profile.resilience_clean() || profile.checkpoint_restores > 0 {
+        RunOutcome::Recovered
+    } else {
+        RunOutcome::Clean
+    };
+    Ok(ResilientRun {
+        stats: ExecutionStats {
+            iterations,
+            pull_iterations,
+            push_iterations,
+            wall: start.elapsed(),
+            profile,
+            engine_trace,
+            records: recorder.into_records(),
+        },
+        outcome,
+        resumed_from,
+    })
 }
 
 #[cfg(test)]

@@ -1,16 +1,17 @@
-//! The Edge/Vertex phase implementations and the hybrid driver.
+//! The Edge/Vertex phase implementations and the one superstep loop.
 //!
-//! * [`pull`] — Edge-Pull: inner-loop-parallel, vectorized, with all three
-//!   interface modes (Traditional, Traditional-Nonatomic, Scheduler-Aware).
+//! * [`pull`] — Edge-Pull: one scheduler-aware, vectorized `edge_pull` over
+//!   an iteration space (full array or compacted active list) with optional
+//!   chunk containment, plus the Traditional/NoAtomic baseline loop.
 //! * [`push`] — Edge-Push: traditional interface, per-edge synchronized
 //!   scatter (the paper's push engines are not vectorizable on AVX2 because
 //!   there are no atomic-update-scatter instructions, §6.2).
-//! * [`pull_wide`] — the 8-lane (AVX-512) Edge-Pull variant, the paper's
-//!   sketched 512-bit extension.
+//! * [`pull_wide`] — the 8-lane (AVX-512) Edge-Pull variant.
 //! * [`vertex`] — the statically scheduled Vertex (local update) phase.
-//! * [`hybrid`] — the per-iteration engine selection and the run loop.
-//! * [`resilient`] — the fault-tolerant run loop: watchdog, chunk retry,
-//!   divergence guard, checkpoint/restore (ISSUE 2).
+//! * [`hybrid`] — per-iteration engine selection and the superstep loop
+//!   behind every `run_program*` / `run_resilient*` entry point.
+//! * [`resilient`] — the loop's resilience policy: watchdog, chunk retry,
+//!   divergence guard, checkpoint/restore (DESIGN.md §9).
 
 pub mod hybrid;
 pub mod pull;

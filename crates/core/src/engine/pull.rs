@@ -6,19 +6,23 @@
 //! detected from the vectors' embedded top-level-vertex ids. Three interface
 //! modes parallelize that loop:
 //!
+//! * [`PullMode::SchedulerAware`] — the paper's contribution, [`edge_pull`]:
+//!   partial aggregates live in chunk-local state; interior destination
+//!   transitions issue one plain store; the chunk's trailing partial goes
+//!   to the merge buffer slot owned by the chunk; a sequential merge pass
+//!   folds the buffer afterwards. Zero synchronization. It runs over a
+//!   [`PullSpace`] — the full vector array or the frontier-aware compacted
+//!   active-vector list (DESIGN.md §11) — with optional per-chunk
+//!   [`Containment`] (retry, watchdog, sequential degrade; DESIGN.md §9).
 //! * [`PullMode::Traditional`] — each vector's aggregate is combined into
 //!   the destination's shared accumulator with a CAS loop. One synchronized
-//!   shared-memory update per iteration; the paper's baseline.
+//!   shared-memory update per iteration; the paper's baseline
+//!   ([`edge_pull_traditional`]).
 //! * [`PullMode::TraditionalNoAtomic`] — same traffic, no synchronization
 //!   (racy by design; isolates write-traffic cost from synchronization
 //!   cost, as in Figures 5 and 8).
-//! * [`PullMode::SchedulerAware`] — the paper's contribution: partial
-//!   aggregates live in chunk-local state; interior destination transitions
-//!   issue one plain store; the chunk's trailing partial goes to the merge
-//!   buffer slot owned by the chunk; a sequential merge pass folds the
-//!   buffer afterwards. Zero synchronization.
 
-use crate::config::PullMode;
+use crate::config::{EngineConfig, Granularity, PullMode, SchedKind};
 use crate::faults::ExecInjector;
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::program::AggOp;
@@ -26,12 +30,15 @@ use crate::properties::PropertyArray;
 use crate::spmv::{frontier_lane_mask, scatter_combine, EdgeKernel};
 use crate::stats::Profiler;
 use crate::trace::{Deadline, SpanClock};
+use grazelle_graph::partition::{partition_index, EdgePartition};
 use grazelle_sched::aware::ChunkAware;
-use grazelle_sched::chunks::{ChunkScheduler, ChunkSource};
-use grazelle_sched::pool::{ThreadPool, WorkerCtx};
+use grazelle_sched::chunks::{ChunkScheduler, ChunkSource, DEFAULT_CHUNKS_PER_THREAD};
+use grazelle_sched::pool::{group_range, ThreadPool, WorkerCtx};
 use grazelle_sched::slots::SlotBuffer;
+use grazelle_sched::stealing::LocalityScheduler;
 use grazelle_vsparse::active::ActiveVectorList;
 use grazelle_vsparse::build::{Vsd, Vss};
+use std::ops::Range;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -56,31 +63,12 @@ struct AwarePull<'a, K: EdgeKernel> {
     frontier: &'a Frontier,
     merge: &'a SlotBuffer<MergeEntry>,
     prof: &'a Profiler,
+    /// `Some` when chunk ranges are positions in the compacted space.
+    active: Option<&'a ActiveVectorList>,
     // Cached kernel facets — hoisted out of the per-vector loop.
     op: AggOp,
     accum: &'a PropertyArray,
     conv: Option<&'a DenseBitmap>,
-}
-
-impl<'a, K: EdgeKernel> AwarePull<'a, K> {
-    fn new(
-        vsd: &'a Vsd,
-        kernel: &'a K,
-        frontier: &'a Frontier,
-        merge: &'a SlotBuffer<MergeEntry>,
-        prof: &'a Profiler,
-    ) -> Self {
-        AwarePull {
-            vsd,
-            kernel,
-            frontier,
-            merge,
-            prof,
-            op: kernel.op(),
-            accum: kernel.accumulators(),
-            conv: kernel.converged(),
-        }
-    }
 }
 
 /// Chunk-local state: the paper's TLS variables plus instrumentation.
@@ -90,8 +78,8 @@ struct AwareState {
     direct_stores: u64,
     started: SpanClock,
     /// Interior-store audit records, buffered until the chunk *commits* in
-    /// `finish_chunk`. A chunk abandoned mid-flight (worker panic on the
-    /// resilient path) drops its state and therefore its records, so the
+    /// `finish_chunk`. A chunk abandoned mid-flight (worker panic under
+    /// containment) drops its state and therefore its records, so the
     /// retry that re-executes it reports each interior store exactly once.
     #[cfg(feature = "invariant-checks")]
     interior_stores: Vec<usize>,
@@ -179,85 +167,236 @@ impl<K: EdgeKernel> ChunkAware for AwarePull<'_, K> {
 }
 
 impl<K: EdgeKernel> AwarePull<'_, K> {
-    /// Processes one chunk end-to-end through the scheduler-aware
-    /// interface: `start_chunk` → `loop_iteration`* → `finish_chunk`.
-    /// `gid` is the chunk's globally unique id (= merge-buffer slot).
+    /// Processes one non-empty chunk end-to-end through the scheduler-aware
+    /// interface: `start_chunk` → `loop_iteration`* → `finish_chunk`. `gid`
+    /// is the chunk's globally unique id (= merge-buffer slot).
+    ///
+    /// Over the compacted space `range` holds positions in the active
+    /// vector list, which resolve to strictly ascending real VSD indices
+    /// whose destination runs stay contiguous — so the §3 transition logic
+    /// is unchanged: a range gap is just another destination transition.
     #[inline]
-    fn run_chunk(&self, ctx: &WorkerCtx, gid: usize, first: usize, last: usize) {
-        let mut state = self.start_chunk(ctx, gid, first);
-        for i in first..=last {
-            self.loop_iteration(ctx, &mut state, i);
+    fn run_chunk(&self, ctx: &WorkerCtx, gid: usize, range: Range<usize>) {
+        match self.active {
+            None => {
+                let last = range.end - 1;
+                let mut state = self.start_chunk(ctx, gid, range.start);
+                for i in range {
+                    self.loop_iteration(ctx, &mut state, i);
+                }
+                self.finish_chunk(ctx, state, gid, last);
+            }
+            Some(active) => {
+                let mut it = active.real_indices(range);
+                let Some(first) = it.next() else {
+                    return;
+                };
+                let mut state = self.start_chunk(ctx, gid, first);
+                self.loop_iteration(ctx, &mut state, first);
+                let mut last = first;
+                for i in it {
+                    self.loop_iteration(ctx, &mut state, i);
+                    last = i;
+                }
+                self.finish_chunk(ctx, state, gid, last);
+            }
         }
-        self.finish_chunk(ctx, state, gid, last);
     }
 
-    /// Processes one chunk of *compacted* positions (frontier-aware path,
-    /// DESIGN.md §11): `pos` indexes the active vector list, which resolves
-    /// each position to a real VSD vector index. The resolved indices are
-    /// strictly ascending and every active destination's vector run is
-    /// contiguous in the compacted space, so the §3 transition logic is
-    /// unchanged — a range gap is just another destination transition.
-    #[inline]
-    fn run_chunk_indirect(
+    /// One contained attempt at a chunk; `false` (and a counted panic) when
+    /// it panicked.
+    fn attempt(
         &self,
         ctx: &WorkerCtx,
         gid: usize,
-        active: &ActiveVectorList,
-        pos: std::ops::Range<usize>,
-    ) {
-        let mut it = active.real_indices(pos);
-        let Some(first) = it.next() else {
-            return;
-        };
-        let mut state = self.start_chunk(ctx, gid, first);
-        self.loop_iteration(ctx, &mut state, first);
-        let mut last = first;
-        for i in it {
-            self.loop_iteration(ctx, &mut state, i);
-            last = i;
+        range: Range<usize>,
+        injector: Option<&ExecInjector>,
+    ) -> bool {
+        // RECOVERY: a chunk that panics mid-flight has written nothing
+        // another thread depends on — its merge slot is only claimed at
+        // commit time in `finish_chunk`, and any interior stores it issued
+        // are plain overwrites of destinations it exclusively owns, which
+        // the retry repeats identically. The chunk's range (full-array
+        // indices or compacted positions) identifies its work exactly.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if let Some(inj) = injector {
+                inj.maybe_panic_chunk(gid);
+            }
+            self.run_chunk(ctx, gid, range);
+        }));
+        if outcome.is_err() {
+            self.prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
         }
-        self.finish_chunk(ctx, state, gid, last);
+        outcome.is_ok()
+    }
+
+    /// The contained parallel drive (DESIGN.md §9): per-chunk panic
+    /// isolation, driver-thread retry of failed chunks, and a cooperative
+    /// watchdog tested between chunks — a blown deadline is detected at the
+    /// next chunk boundary (or after the pool joins) rather than preempting
+    /// a stuck thread mid-chunk. Returns `Degraded` when the retry budget
+    /// ran out and the phase must still be redone sequentially.
+    fn run_contained(
+        &self,
+        pool: &ThreadPool,
+        scheds: &EdgeSchedulers,
+        c: &Containment<'_>,
+    ) -> PullStatus {
+        let failed: Mutex<Vec<(usize, Range<usize>)>> = Mutex::new(Vec::new());
+        let timed_out = AtomicBool::new(false);
+        let pool_ok = pool
+            .run_result(|ctx| {
+                if let Some(inj) = c.injector {
+                    inj.maybe_stall(ctx.global_id);
+                }
+                loop {
+                    if c.deadline.is_some_and(|dl| dl.expired()) {
+                        timed_out.store(true, Ordering::Relaxed); // ATOMIC: relaxed-flag
+                        return;
+                    }
+                    let Some((gid, range)) = scheds.next_chunk(ctx) else {
+                        break;
+                    };
+                    if range.is_empty() {
+                        continue;
+                    }
+                    // Catching in `attempt` keeps the worker alive to drain
+                    // the rest of the queue; the failed chunk is queued for
+                    // the driver thread to retry.
+                    if !self.attempt(ctx, gid, range.clone(), c.injector) {
+                        failed
+                            .lock()
+                            .expect("failed-chunk list lock poisoned")
+                            .push((gid, range));
+                    }
+                }
+            })
+            .is_ok();
+
+        // ATOMIC: relaxed-flag — cooperative timeout; late observation only
+        // delays the verdict by one chunk
+        if timed_out.load(Ordering::Relaxed) || c.deadline.is_some_and(|dl| dl.expired()) {
+            return PullStatus::Stalled;
+        }
+        if !pool_ok {
+            // A worker died outside the per-chunk containment (e.g. in the
+            // scheduler itself): its unclaimed chunks are unknowable, so go
+            // straight to the degrade path, which redoes the whole phase.
+            return PullStatus::Degraded;
+        }
+        // Retry failed chunks on this (surviving) thread, in order.
+        let failed = failed
+            .into_inner()
+            .expect("failed-chunk list lock poisoned");
+        let retry_ctx = WorkerCtx {
+            global_id: 0,
+            group_id: 0,
+            local_id: 0,
+            num_threads: pool.num_threads(),
+            num_groups: pool.num_groups(),
+        };
+        let mut exhausted = false;
+        'chunks: for (gid, range) in failed {
+            let mut attempts = 0;
+            loop {
+                if c.deadline.is_some_and(|dl| dl.expired()) {
+                    break 'chunks; // verdict below re-tests the deadline
+                }
+                if attempts >= c.max_chunk_retries {
+                    exhausted = true;
+                    break 'chunks;
+                }
+                attempts += 1;
+                self.prof.chunk_retries.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+
+                // RECOVERY: the retried chunk starts from `start_chunk`
+                // state, so a clean attempt fully reproduces the lost work;
+                // one that panics again still commits nothing and is simply
+                // attempted again until the retry budget runs out.
+                if self.attempt(&retry_ctx, gid, range.clone(), c.injector) {
+                    break;
+                }
+            }
+        }
+        if c.deadline.is_some_and(|dl| dl.expired()) {
+            PullStatus::Stalled
+        } else if exhausted {
+            PullStatus::Degraded
+        } else {
+            PullStatus::Completed
+        }
     }
 }
 
-/// Per-group Edge-phase schedulers: the paper's NUMA partitioning of the
-/// edge vector array (§5). The VSD vector array is split into one
-/// contiguous, vertex-aligned piece per thread group (NUMA-node stand-in,
-/// DESIGN.md §4.2); each group's threads claim chunks only from their own
-/// piece. Chunk identifiers are globally unique so the merge buffer keeps
+/// Edge-phase chunk sources for one iteration space. This is the one place
+/// a configuration's [`Granularity`] × [`SchedKind`] becomes chunks.
+///
+/// Over the full VSD array the vector array is split into one contiguous,
+/// vertex-aligned piece per thread group — the paper's NUMA partitioning
+/// (§5, DESIGN.md §4.2) — and each group's threads claim chunks only from
+/// their own piece. Over the compacted space one shared source serves every
+/// worker. Chunk identifiers are globally unique so the merge buffer keeps
 /// one slot per chunk across all groups.
 pub struct EdgeSchedulers {
-    parts: Vec<grazelle_graph::partition::EdgePartition>,
+    parts: Vec<EdgePartition>,
     scheds: Vec<Box<dyn ChunkSource + Send + Sync>>,
     chunk_offsets: Vec<usize>,
     total_chunks: usize,
 }
 
 impl EdgeSchedulers {
-    /// Partitions `vsd`'s vector array for `pool`'s group topology using
-    /// `cfg`'s granularity (32 chunks per thread by default, per group) and
-    /// `cfg`'s scheduler kind (central queue or locality-first stealing).
-    pub fn new(cfg: &crate::config::EngineConfig, vsd: &Vsd, pool: &ThreadPool) -> Self {
-        use grazelle_graph::partition::partition_index;
-        use grazelle_sched::pool::group_range;
-        use grazelle_sched::stealing::LocalityScheduler;
-        let groups = pool.num_groups();
-        let parts = partition_index(vsd.index(), groups);
+    /// The full space: partitions `vsd`'s vector array for `pool`'s group
+    /// topology, chunked per `cfg` (32 chunks per thread by default, per
+    /// group; central queue or locality-first stealing).
+    pub fn new(cfg: &EngineConfig, vsd: &Vsd, pool: &ThreadPool) -> Self {
+        Self::build(cfg, partition_index(vsd.index(), pool.num_groups()), pool)
+    }
+
+    /// The compacted space of `active` (DESIGN.md §11): not
+    /// NUMA-partitioned — one shared source over the list's positions,
+    /// chunked per `cfg` for every thread of `pool`.
+    pub fn active(cfg: &EngineConfig, active: &ActiveVectorList, pool: &ThreadPool) -> Self {
+        Self::build(cfg, vec![Self::piece(active.total_vectors())], pool)
+    }
+
+    /// Single-group scheduler with an explicit chunk count (tests and
+    /// direct engine users).
+    pub fn single(num_vectors: usize, num_chunks: usize) -> Self {
+        let sched = ChunkScheduler::new(num_vectors, num_chunks);
+        EdgeSchedulers {
+            parts: vec![Self::piece(num_vectors)],
+            chunk_offsets: vec![0],
+            total_chunks: sched.num_chunks(),
+            scheds: vec![Box::new(sched)],
+        }
+    }
+
+    /// One piece spanning `0..items` (vertex bounds unused by the pull
+    /// engines).
+    fn piece(items: usize) -> EdgePartition {
+        EdgePartition {
+            first_vertex: 0,
+            last_vertex: 0,
+            edge_start: 0,
+            edge_end: items,
+        }
+    }
+
+    fn build(cfg: &EngineConfig, parts: Vec<EdgePartition>, pool: &ThreadPool) -> Self {
+        let groups = parts.len();
         let mut scheds: Vec<Box<dyn ChunkSource + Send + Sync>> = Vec::with_capacity(groups);
         let mut chunk_offsets = Vec::with_capacity(groups);
         let mut total = 0usize;
         for (g, p) in parts.iter().enumerate() {
-            let items = p.num_edges(); // vectors in this piece
+            let items = p.num_edges(); // vectors (or positions) in this piece
             let threads = group_range(g, groups, pool.num_threads()).len().max(1);
             let chunks = match cfg.granularity {
-                crate::config::Granularity::Default32n => {
-                    grazelle_sched::chunks::DEFAULT_CHUNKS_PER_THREAD * threads
-                }
-                crate::config::Granularity::VectorsPerChunk(c) => items.div_ceil(c.max(1)).max(1),
+                Granularity::Default32n => DEFAULT_CHUNKS_PER_THREAD * threads,
+                Granularity::VectorsPerChunk(c) => items.div_ceil(c.max(1)).max(1),
             };
             let sched: Box<dyn ChunkSource + Send + Sync> = match cfg.sched_kind {
-                crate::config::SchedKind::Central => Box::new(ChunkScheduler::new(items, chunks)),
-                crate::config::SchedKind::LocalityStealing => {
+                SchedKind::Central => Box::new(ChunkScheduler::new(items, chunks)),
+                SchedKind::LocalityStealing => {
                     Box::new(LocalityScheduler::new(items, chunks, threads))
                 }
             };
@@ -273,29 +412,12 @@ impl EdgeSchedulers {
         }
     }
 
-    /// Single-group scheduler with an explicit chunk count (tests and
-    /// direct engine users).
-    pub fn single(num_vectors: usize, num_chunks: usize) -> Self {
-        let sched = ChunkScheduler::new(num_vectors, num_chunks);
-        EdgeSchedulers {
-            parts: vec![grazelle_graph::partition::EdgePartition {
-                first_vertex: 0,
-                last_vertex: 0, // vertex bounds unused by the pull driver
-                edge_start: 0,
-                edge_end: num_vectors,
-            }],
-            chunk_offsets: vec![0],
-            total_chunks: sched.num_chunks(),
-            scheds: vec![Box::new(sched)],
-        }
-    }
-
     /// Total chunks across all groups (merge-buffer slots needed).
     pub fn total_chunks(&self) -> usize {
         self.total_chunks
     }
 
-    /// Total vectors covered.
+    /// Total items (vectors, or compacted positions) covered.
     pub fn num_items(&self) -> usize {
         self.parts.last().map_or(0, |p| p.edge_end)
     }
@@ -307,27 +429,230 @@ impl EdgeSchedulers {
         }
     }
 
-    /// The group index a worker should draw from.
+    /// Claims the next chunk for `ctx`: its global id and its item range.
+    /// A single shared source is addressed by global thread id, per-group
+    /// sources by the group-local id.
     #[inline]
-    fn group_for(&self, ctx: &WorkerCtx) -> usize {
-        ctx.group_id.min(self.scheds.len() - 1)
+    fn next_chunk(&self, ctx: &WorkerCtx) -> Option<(usize, Range<usize>)> {
+        let (g, thread) = if self.scheds.len() == 1 {
+            (0, ctx.global_id)
+        } else {
+            (ctx.group_id.min(self.scheds.len() - 1), ctx.local_id)
+        };
+        let chunk = self.scheds[g].next_chunk_for(thread)?;
+        let base = self.parts[g].edge_start;
+        Some((
+            self.chunk_offsets[g] + chunk.id,
+            base + chunk.range.start..base + chunk.range.end,
+        ))
     }
 }
 
-/// Runs one Edge-Pull phase.
+/// The iteration space of one scheduler-aware Edge-Pull phase.
+#[derive(Clone, Copy)]
+pub enum PullSpace<'a> {
+    /// The whole VSD vector array, chunked by [`EdgeSchedulers::new`] (or
+    /// [`EdgeSchedulers::single`]).
+    Full(&'a EdgeSchedulers),
+    /// The frontier-aware compacted active-vector list (DESIGN.md §11),
+    /// chunked by [`EdgeSchedulers::active`] over the same list.
+    /// Bit-identical to the full space: destinations outside the list have
+    /// no frontier-active in-neighbors, so the full pass would store only
+    /// the operator identity they already hold.
+    Active(&'a ActiveVectorList, &'a EdgeSchedulers),
+}
+
+/// Per-chunk fault containment for one Edge-Pull phase (DESIGN.md §9).
 ///
-/// `scheds` must cover `0..vsd.num_vectors()` and be freshly
-/// [`reset`](EdgeSchedulers::reset); `merge` must have at least
-/// [`total_chunks`](EdgeSchedulers::total_chunks) slots (only used in
-/// scheduler-aware mode).
+/// Only the scheduler-aware interface supports it — chunk retry is only
+/// sound under its write discipline: a chunk that dies mid-flight has made
+/// no commitment other than idempotent interior stores (plain overwrites of
+/// destinations it exclusively owns), and its merge-buffer slot is written
+/// only at commit time in `finish_chunk`, so re-executing the chunk on any
+/// surviving thread reproduces the lost work exactly.
+#[derive(Debug, Clone, Copy)]
+pub struct Containment<'a> {
+    /// Cooperative watchdog, tested between chunks. `None` disables it.
+    pub deadline: Option<Deadline>,
+    /// Driver-thread attempts per failed chunk before the phase degrades
+    /// to the sequential scalar redo.
+    pub max_chunk_retries: u32,
+    /// Deterministic fault injector; `None` injects nothing.
+    pub injector: Option<&'a ExecInjector>,
+}
+
+/// Outcome of an Edge-Pull phase ([`edge_pull`]). Without containment the
+/// phase always completes (a worker panic propagates instead).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PullStatus {
+    /// The phase completed through the parallel scheduler-aware path
+    /// (possibly after per-chunk retries); accumulators are valid.
+    Completed,
+    /// The watchdog deadline expired. The phase was abandoned, the merge
+    /// buffer cleared, and the accumulators hold partial garbage — the
+    /// driver must surface `EngineError::Stalled`, not continue.
+    Stalled,
+    /// The chunk-retry budget was exhausted; the phase was re-executed from
+    /// scratch on the sequential scalar path. Accumulators are valid.
+    Degraded,
+}
+
+/// Runs one scheduler-aware Edge-Pull phase over `space`.
+///
+/// `merge` is grown to the space's chunk count as needed. With `contain`
+/// set, a worker panic is contained to its chunk and retried on the driver
+/// thread; when the retry budget runs out the phase is redone on the
+/// sequential scalar path over the full array ([`PullStatus::Degraded`],
+/// bit-identical to the parallel pass), and a blown watchdog abandons it
+/// ([`PullStatus::Stalled`]). Without containment a worker panic
+/// propagates through the pool.
 #[allow(clippy::too_many_arguments)]
 pub fn edge_pull<K: EdgeKernel>(
     vsd: &Vsd,
     kernel: &K,
     frontier: &Frontier,
+    space: PullSpace<'_>,
+    pool: &ThreadPool,
+    merge: &mut SlotBuffer<MergeEntry>,
+    prof: &Profiler,
+    contain: Option<&Containment<'_>>,
+) -> PullStatus {
+    let (scheds, active) = match space {
+        PullSpace::Full(s) => (s, None),
+        PullSpace::Active(a, s) => (s, Some(a)),
+    };
+    let items = active.map_or(vsd.num_vectors(), |a| a.total_vectors());
+    assert_eq!(
+        scheds.num_items(),
+        items,
+        "scheduler/iteration-space mismatch"
+    );
+    let op = kernel.op();
+    let wall = SpanClock::start();
+    let work_before = prof.work_ns_now();
+    scheds.reset();
+    merge.ensure_len(scheds.total_chunks());
+    #[cfg(feature = "invariant-checks")]
+    if let Some(t) = prof.tracker.as_ref() {
+        // On the Stalled/Degraded exits below this phase is simply left
+        // open and never asserted; the next `begin_phase` discards it.
+        t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
+        if let Some(a) = active {
+            // Restrict the audit to the active destinations so it catches
+            // any interior store outside the compacted subset.
+            t.restrict_to_active(
+                a.ranges()
+                    .iter()
+                    .flat_map(|r| r.clone())
+                    .map(|i| vsd.vectors()[i].top_level_vertex() as usize),
+            );
+        }
+    }
+
+    // The parallel part's verdict; the `&mut` merge-buffer operations
+    // (clear/fold) follow once the chunk processor's shared borrows end.
+    let verdict = {
+        let loop_ = AwarePull {
+            vsd,
+            kernel,
+            frontier,
+            merge,
+            prof,
+            active,
+            op,
+            accum: kernel.accumulators(),
+            conv: kernel.converged(),
+        };
+        match contain {
+            Some(c) => loop_.run_contained(pool, scheds, c),
+            None => {
+                // Group-partitioned drive: each worker claims chunks from
+                // its own group's piece of the iteration space, processing
+                // them through the scheduler-aware interface (paper
+                // Figure 3).
+                pool.run(|ctx| {
+                    while let Some((gid, range)) = scheds.next_chunk(ctx) {
+                        if !range.is_empty() {
+                            loop_.run_chunk(ctx, gid, range);
+                        }
+                    }
+                });
+                PullStatus::Completed
+            }
+        }
+    };
+
+    let status = match verdict {
+        PullStatus::Stalled => {
+            merge.clear();
+            return PullStatus::Stalled;
+        }
+        PullStatus::Degraded => {
+            // Degrade: discard all partial state and redo the phase
+            // sequentially over the *full* array (bit-identical to the
+            // compacted pass — inactive destinations aggregate a zero lane
+            // mask, i.e. the identity they hold). One plain store per
+            // destination, no merge buffer, no other threads — trivially
+            // exactly-once.
+            merge.clear();
+            prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+
+            // DISJOINT: sequential-merge — degrade-path reset, single-threaded
+            kernel
+                .accumulators()
+                .fill_range_f64(0..vsd.num_vertices(), op.identity());
+            let deadline = contain.and_then(|c| c.deadline);
+            let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
+            // The phase ended sequential: charge idle from effective
+            // parallelism 1 so the degraded pass doesn't report
+            // `threads − 1` phantom idle threads (the abandoned parallel
+            // attempt's imbalance is absorbed, which is the honest reading:
+            // no thread was waiting during the scalar redo).
+            prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
+            if done {
+                PullStatus::Degraded
+            } else {
+                PullStatus::Stalled
+            }
+        }
+        PullStatus::Completed => {
+            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
+            merge_fold(kernel.accumulators(), op, merge, prof);
+            // Audit the §3 contract for this Edge phase — it must hold even
+            // after panics and retries: interior destinations stored exactly
+            // once (abandoned chunks recorded nothing, retried chunks
+            // exactly once), slots claimed by one thread, boundary partials
+            // folded exactly once.
+            #[cfg(feature = "invariant-checks")]
+            if let Some(t) = prof.tracker.as_ref() {
+                t.end_phase().assert_clean();
+            }
+            PullStatus::Completed
+        }
+    };
+    let vectors = if status == PullStatus::Completed {
+        items
+    } else {
+        vsd.num_vectors()
+    };
+    // ATOMIC: relaxed-counter
+    prof.vectors_processed
+        .fetch_add(vectors as u64, Ordering::Relaxed);
+    status
+}
+
+/// The traditional-interface baseline (paper Figure 1): a stateless loop
+/// that combines every vector's aggregate into the destination's shared
+/// accumulator — with a CAS loop under [`PullMode::Traditional`], with an
+/// unsynchronized read-modify-write under
+/// [`PullMode::TraditionalNoAtomic`] (racy by design). `scheds` must cover
+/// `0..vsd.num_vectors()`.
+pub fn edge_pull_traditional<K: EdgeKernel>(
+    vsd: &Vsd,
+    kernel: &K,
+    frontier: &Frontier,
     pool: &ThreadPool,
     scheds: &EdgeSchedulers,
-    merge: &mut SlotBuffer<MergeEntry>,
     mode: PullMode,
     prof: &Profiler,
 ) {
@@ -336,98 +661,54 @@ pub fn edge_pull<K: EdgeKernel>(
         vsd.num_vectors(),
         "scheduler/VSD mismatch"
     );
+    assert_ne!(
+        mode,
+        PullMode::SchedulerAware,
+        "the scheduler-aware interface runs through `edge_pull`"
+    );
+    let atomic = mode == PullMode::Traditional;
     let op = kernel.op();
+    let accum = kernel.accumulators();
+    let conv = kernel.converged();
+    let write_intense = kernel.write_intense();
     let wall = SpanClock::start();
     let work_before = prof.work_ns_now();
-
-    match mode {
-        PullMode::SchedulerAware => {
-            merge.ensure_len(scheds.total_chunks());
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
-            }
-            let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-            // Group-partitioned drive: each worker claims chunks from its
-            // own group's piece of the vector array, processing them
-            // through the scheduler-aware interface (paper Figure 3).
-            pool.run(|ctx| {
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                let id_base = scheds.chunk_offsets[g];
-                while let Some(chunk) = sched.next_chunk_for(ctx.local_id) {
-                    if chunk.range.is_empty() {
-                        continue;
-                    }
-                    let first = base + chunk.range.start;
-                    let last = base + chunk.range.end - 1;
-                    let gid = id_base + chunk.id;
-                    loop_.run_chunk(ctx, gid, first, last);
+    scheds.reset();
+    pool.run(|ctx| {
+        let started = SpanClock::start();
+        let mut updates = 0u64;
+        while let Some((_, range)) = scheds.next_chunk(ctx) {
+            for i in range {
+                let ev = &vsd.vectors()[i];
+                let dst = ev.top_level_vertex();
+                if conv.is_some_and(|c| c.contains(dst as u32)) {
+                    continue;
                 }
-            });
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-            merge_fold(kernel.accumulators(), op, merge, prof);
-            // Audit the §3 contract for this Edge phase: interior
-            // destinations stored exactly once, slots claimed by one thread,
-            // boundary partials folded exactly once.
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                t.end_phase().assert_clean();
-            }
-        }
-        PullMode::Traditional | PullMode::TraditionalNoAtomic => {
-            let accum = kernel.accumulators();
-            let conv = kernel.converged();
-            let write_intense = kernel.write_intense();
-            pool.run(|ctx| {
-                let started = SpanClock::start();
-                let mut updates = 0u64;
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                while let Some(chunk) = sched.next_chunk_for(ctx.local_id) {
-                    for i in base + chunk.range.start..base + chunk.range.end {
-                        let ev = &vsd.vectors()[i];
-                        let dst = ev.top_level_vertex();
-                        if let Some(c) = conv {
-                            if c.contains(dst as u32) {
-                                continue;
-                            }
-                        }
-                        let mask = frontier_lane_mask(frontier, ev);
-                        if mask == 0 {
-                            continue;
-                        }
-                        // SAFETY: coverage validated at kernel construction.
-                        let contrib = unsafe { kernel.gather4(ev, i, mask) };
-                        updates += 1;
-                        match mode {
-                            PullMode::Traditional => {
-                                scatter_combine(op, write_intense, accum, dst as usize, contrib)
-                            }
-                            PullMode::TraditionalNoAtomic => {
-                                accum.combine_nonatomic_f64(dst as usize, contrib, |a, b| {
-                                    op.combine(a, b)
-                                });
-                            }
-                            PullMode::SchedulerAware => unreachable!(),
-                        }
-                    }
+                let mask = frontier_lane_mask(frontier, ev);
+                if mask == 0 {
+                    continue;
                 }
-                // ATOMIC: relaxed-counter
-                prof.work_ns
-                    .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
-                let counter = if mode == PullMode::Traditional {
-                    &prof.atomic_updates
+                // SAFETY: coverage validated at kernel construction.
+                let contrib = unsafe { kernel.gather4(ev, i, mask) };
+                updates += 1;
+                if atomic {
+                    scatter_combine(op, write_intense, accum, dst as usize, contrib);
                 } else {
-                    &prof.nonatomic_updates
-                };
-                counter.fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
-            });
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
+                    accum.combine_nonatomic_f64(dst as usize, contrib, |a, b| op.combine(a, b));
+                }
+            }
         }
-    }
+        // ATOMIC: relaxed-counter
+        prof.work_ns
+            .fetch_add(started.elapsed_ns(), Ordering::Relaxed);
+        let counter = if atomic {
+            &prof.atomic_updates
+        } else {
+            &prof.nonatomic_updates
+        };
+        counter.fetch_add(updates, Ordering::Relaxed); // ATOMIC: relaxed-counter
+    });
+    prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
     // ATOMIC: relaxed-counter
     prof.vectors_processed
         .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
@@ -443,7 +724,7 @@ pub fn active_vector_list(
     vsd: &Vsd,
     vss: &Vss,
     frontier: &Frontier,
-    converged: Option<&crate::frontier::DenseBitmap>,
+    converged: Option<&DenseBitmap>,
 ) -> ActiveVectorList {
     let n = vsd.num_vertices();
     let mut dest_bits = vec![0u64; n.div_ceil(64)];
@@ -482,272 +763,10 @@ pub fn active_vector_list(
     ActiveVectorList::from_active(vsd.index(), active)
 }
 
-/// Builds the chunk scheduler for a compacted (indirect) iteration space of
-/// `total` positions, honouring the config's granularity and scheduler
-/// kind. The compacted space is not NUMA-partitioned — one shared scheduler
-/// serves every worker, addressed by global thread id.
-fn compact_scheduler(
-    cfg: &crate::config::EngineConfig,
-    total: usize,
-    pool: &ThreadPool,
-) -> Box<dyn ChunkSource + Send + Sync> {
-    let threads = pool.num_threads();
-    let chunks = match cfg.granularity {
-        crate::config::Granularity::Default32n => {
-            grazelle_sched::chunks::DEFAULT_CHUNKS_PER_THREAD * threads
-        }
-        crate::config::Granularity::VectorsPerChunk(c) => total.div_ceil(c.max(1)).max(1),
-    };
-    match cfg.sched_kind {
-        crate::config::SchedKind::Central => Box::new(ChunkScheduler::new(total, chunks)),
-        crate::config::SchedKind::LocalityStealing => Box::new(
-            grazelle_sched::stealing::LocalityScheduler::new(total, chunks, threads),
-        ),
-    }
-}
-
-/// Restricts the open tracker phase to the active list's destinations so
-/// the audit catches any interior store outside the compacted subset.
-#[cfg(feature = "invariant-checks")]
-fn restrict_tracker_to_active(prof: &Profiler, vsd: &Vsd, active: &ActiveVectorList) {
-    if let Some(t) = prof.tracker.as_ref() {
-        t.restrict_to_active(
-            active
-                .ranges()
-                .iter()
-                .flat_map(|r| r.clone())
-                .map(|i| vsd.vectors()[i].top_level_vertex() as usize),
-        );
-    }
-}
-
-/// Runs one frontier-aware Edge-Pull phase over the compacted active vector
-/// list (DESIGN.md §11). Always scheduler-aware: chunks hand out contiguous
-/// runs of *compacted positions*, which resolve to ascending real vector
-/// indices whose destination runs are still contiguous — so the §3
-/// exactly-once-write + merge-buffer contract carries over unchanged.
-/// Bit-identical to [`edge_pull`] over the full array: destinations outside
-/// the active list have no frontier-active in-neighbors, so the dense pass
-/// would store only the operator identity they already hold.
-#[allow(clippy::too_many_arguments)]
-pub fn edge_pull_compact<K: EdgeKernel>(
-    vsd: &Vsd,
-    kernel: &K,
-    frontier: &Frontier,
-    active: &ActiveVectorList,
-    pool: &ThreadPool,
-    cfg: &crate::config::EngineConfig,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
-) {
-    let op = kernel.op();
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-
-    let sched = compact_scheduler(cfg, active.total_vectors(), pool);
-    merge.ensure_len(sched.num_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        t.begin_phase(vsd.num_vertices(), sched.num_chunks());
-    }
-    #[cfg(feature = "invariant-checks")]
-    restrict_tracker_to_active(prof, vsd, active);
-    let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-    pool.run(|ctx| {
-        while let Some(chunk) = sched.next_chunk_for(ctx.global_id) {
-            if chunk.range.is_empty() {
-                continue;
-            }
-            loop_.run_chunk_indirect(ctx, chunk.id, active, chunk.range);
-        }
-    });
-    prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-    merge_fold(kernel.accumulators(), op, merge, prof);
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        t.end_phase().assert_clean();
-    }
-    // ATOMIC: relaxed-counter
-    prof.vectors_processed
-        .fetch_add(active.total_vectors() as u64, Ordering::Relaxed);
-}
-
-/// The resilient twin of [`edge_pull_compact`]: per-chunk panic containment
-/// and retry over the compacted iteration space, cooperative watchdog, and
-/// the same sequential degrade path as [`edge_pull_resilient`] — the
-/// full-array scalar pass is bit-identical to the compacted pass (inactive
-/// destinations aggregate a zero lane mask, i.e. the identity they hold).
-#[allow(clippy::too_many_arguments)]
-pub fn edge_pull_compact_resilient<K: EdgeKernel>(
-    vsd: &Vsd,
-    kernel: &K,
-    frontier: &Frontier,
-    active: &ActiveVectorList,
-    pool: &ThreadPool,
-    cfg: &crate::config::EngineConfig,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
-    deadline: Option<Deadline>,
-    injector: Option<&ExecInjector>,
-) -> PullStatus {
-    let op = kernel.op();
-    let max_chunk_retries = cfg.resilience.max_chunk_retries;
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-    let sched = compact_scheduler(cfg, active.total_vectors(), pool);
-    merge.ensure_len(sched.num_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        // As in `edge_pull_resilient`: on the Stalled/Degraded exits this
-        // phase is left open and discarded by the next `begin_phase`.
-        t.begin_phase(vsd.num_vertices(), sched.num_chunks());
-    }
-    #[cfg(feature = "invariant-checks")]
-    restrict_tracker_to_active(prof, vsd, active);
-
-    let verdict = {
-        let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-        let failed: Mutex<Vec<(usize, std::ops::Range<usize>)>> = Mutex::new(Vec::new());
-        let timed_out = AtomicBool::new(false);
-        let pool_ok = pool
-            .run_result(|ctx| {
-                if let Some(inj) = injector {
-                    inj.maybe_stall(ctx.global_id);
-                }
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        timed_out.store(true, Ordering::Relaxed); // ATOMIC: relaxed-flag
-                        return;
-                    }
-                    let Some(chunk) = sched.next_chunk_for(ctx.global_id) else {
-                        break;
-                    };
-                    if chunk.range.is_empty() {
-                        continue;
-                    }
-                    let range = chunk.range.clone();
-                    // RECOVERY: same containment argument as the dense
-                    // resilient path — an abandoned chunk committed nothing,
-                    // and the compacted positions identify its work exactly.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(chunk.id);
-                        }
-                        loop_.run_chunk_indirect(ctx, chunk.id, active, chunk.range);
-                    }));
-                    if outcome.is_err() {
-                        prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        failed
-                            .lock()
-                            .expect("failed-chunk list lock poisoned")
-                            .push((chunk.id, range));
-                    }
-                }
-            })
-            .is_ok();
-
-        // ATOMIC: relaxed-flag — cooperative timeout; late observation only
-        // delays the verdict by one chunk
-        if timed_out.load(Ordering::Relaxed) || deadline.is_some_and(|dl| dl.expired()) {
-            ParallelVerdict::TimedOut
-        } else if !pool_ok {
-            ParallelVerdict::RetriesExhausted
-        } else {
-            let failed = failed
-                .into_inner()
-                .expect("failed-chunk list lock poisoned");
-            let retry_ctx = WorkerCtx {
-                global_id: 0,
-                group_id: 0,
-                local_id: 0,
-                num_threads: pool.num_threads(),
-                num_groups: pool.num_groups(),
-            };
-            let mut exhausted = false;
-            'chunks: for (gid, range) in &failed {
-                let mut attempts = 0;
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        break 'chunks;
-                    }
-                    if attempts >= max_chunk_retries {
-                        exhausted = true;
-                        break 'chunks;
-                    }
-                    attempts += 1;
-                    prof.chunk_retries.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                        // RECOVERY: a retried chunk that panics again still
-                                                                        // commits nothing; the same compacted range is simply
-                                                                        // attempted again until the retry budget runs out.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(*gid);
-                        }
-                        loop_.run_chunk_indirect(&retry_ctx, *gid, active, range.clone());
-                    }));
-                    match outcome {
-                        Ok(()) => break,
-                        Err(_) => {
-                            prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        }
-                    }
-                }
-            }
-            if deadline.is_some_and(|dl| dl.expired()) {
-                ParallelVerdict::TimedOut
-            } else if exhausted {
-                ParallelVerdict::RetriesExhausted
-            } else {
-                ParallelVerdict::Done
-            }
-        }
-    };
-
-    match verdict {
-        ParallelVerdict::TimedOut => {
-            merge.clear();
-            PullStatus::Stalled
-        }
-        ParallelVerdict::RetriesExhausted => {
-            // Degrade exactly as the dense path does: redo the phase
-            // sequentially over the *full* array, which is bit-identical to
-            // the compacted pass (see function docs).
-            merge.clear();
-            prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                      // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-            kernel
-                .accumulators()
-                .fill_range_f64(0..vsd.num_vertices(), op.identity());
-            let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
-            prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            if done {
-                PullStatus::Degraded
-            } else {
-                PullStatus::Stalled
-            }
-        }
-        ParallelVerdict::Done => {
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-            merge_fold(kernel.accumulators(), op, merge, prof);
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                t.end_phase().assert_clean();
-            }
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(active.total_vectors() as u64, Ordering::Relaxed);
-            PullStatus::Completed
-        }
-    }
-}
-
 /// The sequential merge pass (paper Listing 6): folds every boundary
 /// partial in the merge buffer into its destination accumulator. "Executes
 /// sequentially in our implementation because it is extremely fast."
-fn merge_fold(
+pub(crate) fn merge_fold(
     accum: &PropertyArray,
     op: AggOp,
     merge: &mut SlotBuffer<MergeEntry>,
@@ -772,235 +791,6 @@ fn merge_fold(
                                                               // ATOMIC: relaxed-counter
     prof.merge_ns
         .fetch_add(merge_start.elapsed_ns(), Ordering::Relaxed);
-}
-
-/// Outcome of a resilient Edge-Pull phase ([`edge_pull_resilient`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PullStatus {
-    /// The phase completed through the parallel scheduler-aware path
-    /// (possibly after per-chunk retries); accumulators are valid.
-    Completed,
-    /// The watchdog deadline expired. The phase was abandoned, the merge
-    /// buffer cleared, and the accumulators hold partial garbage — the
-    /// driver must surface `EngineError::Stalled`, not continue.
-    Stalled,
-    /// The chunk-retry budget was exhausted; the phase was re-executed from
-    /// scratch on the sequential scalar path. Accumulators are valid.
-    Degraded,
-}
-
-/// What the parallel portion of the resilient phase concluded; the `&mut`
-/// merge-buffer operations (clear/fold) happen after this verdict, once the
-/// shared borrows held by the chunk processor are gone.
-enum ParallelVerdict {
-    Done,
-    TimedOut,
-    RetriesExhausted,
-}
-
-/// Runs one Edge-Pull phase with fault containment: per-chunk panic
-/// isolation and retry, a cooperative watchdog deadline, and a sequential
-/// degrade path when the retry budget runs out.
-///
-/// Always uses the scheduler-aware interface — chunk retry is only sound
-/// under its write discipline: a chunk that dies mid-flight has made no
-/// commitment other than idempotent interior stores (plain overwrites of
-/// destinations it exclusively owns), and its merge-buffer slot is written
-/// only at commit time in `finish_chunk`, so re-executing the chunk on any
-/// surviving thread reproduces the lost work exactly (DESIGN.md §9).
-///
-/// The watchdog is cooperative: workers test `deadline` between chunks, so
-/// a blown deadline is detected at the next chunk boundary (or after the
-/// pool joins) rather than preempting a stuck thread mid-chunk.
-#[allow(clippy::too_many_arguments)]
-pub fn edge_pull_resilient<K: EdgeKernel>(
-    vsd: &Vsd,
-    kernel: &K,
-    frontier: &Frontier,
-    pool: &ThreadPool,
-    scheds: &EdgeSchedulers,
-    merge: &mut SlotBuffer<MergeEntry>,
-    prof: &Profiler,
-    deadline: Option<Deadline>,
-    max_chunk_retries: u32,
-    injector: Option<&ExecInjector>,
-) -> PullStatus {
-    assert_eq!(
-        scheds.num_items(),
-        vsd.num_vectors(),
-        "scheduler/VSD mismatch"
-    );
-    let op = kernel.op();
-    let wall = SpanClock::start();
-    let work_before = prof.work_ns_now();
-    merge.ensure_len(scheds.total_chunks());
-    #[cfg(feature = "invariant-checks")]
-    if let Some(t) = prof.tracker.as_ref() {
-        // On the Stalled/Degraded exits below this phase is simply left
-        // open and never asserted; the next `begin_phase` discards it.
-        t.begin_phase(vsd.num_vertices(), scheds.total_chunks());
-    }
-
-    let verdict = {
-        let loop_ = AwarePull::new(vsd, kernel, frontier, merge, prof);
-        let failed: Mutex<Vec<(usize, usize, usize)>> = Mutex::new(Vec::new());
-        let timed_out = AtomicBool::new(false);
-        let pool_ok = pool
-            .run_result(|ctx| {
-                if let Some(inj) = injector {
-                    inj.maybe_stall(ctx.global_id);
-                }
-                let g = scheds.group_for(ctx);
-                let sched = &scheds.scheds[g];
-                let base = scheds.parts[g].edge_start;
-                let id_base = scheds.chunk_offsets[g];
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        timed_out.store(true, Ordering::Relaxed); // ATOMIC: relaxed-flag
-                        return;
-                    }
-                    let Some(chunk) = sched.next_chunk_for(ctx.local_id) else {
-                        break;
-                    };
-                    if chunk.range.is_empty() {
-                        continue;
-                    }
-                    let first = base + chunk.range.start;
-                    let last = base + chunk.range.end - 1;
-                    let gid = id_base + chunk.id;
-                    // RECOVERY: a chunk that panics mid-flight has written
-                    // nothing another thread depends on — its merge slot is
-                    // only claimed at commit time in `finish_chunk`, and any
-                    // interior stores it issued are plain overwrites of
-                    // destinations it exclusively owns, which the retry
-                    // repeats identically. Catching here keeps the worker
-                    // alive to drain the rest of the queue; the failed chunk
-                    // is queued for the driver thread to retry.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(gid);
-                        }
-                        loop_.run_chunk(ctx, gid, first, last);
-                    }));
-                    if outcome.is_err() {
-                        prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        failed
-                            .lock()
-                            .expect("failed-chunk list lock poisoned")
-                            .push((gid, first, last));
-                    }
-                }
-            })
-            .is_ok();
-
-        // ATOMIC: relaxed-flag — cooperative timeout; late observation only
-        // delays the verdict by one chunk
-        if timed_out.load(Ordering::Relaxed) || deadline.is_some_and(|dl| dl.expired()) {
-            ParallelVerdict::TimedOut
-        } else if !pool_ok {
-            // A worker died outside the per-chunk containment (e.g. in the
-            // scheduler itself): its unclaimed chunks are unknowable, so go
-            // straight to the degrade path, which redoes the whole phase.
-            ParallelVerdict::RetriesExhausted
-        } else {
-            // Retry failed chunks on this (surviving) thread, in order.
-            let failed = failed
-                .into_inner()
-                .expect("failed-chunk list lock poisoned");
-            let retry_ctx = WorkerCtx {
-                global_id: 0,
-                group_id: 0,
-                local_id: 0,
-                num_threads: pool.num_threads(),
-                num_groups: pool.num_groups(),
-            };
-            let mut exhausted = false;
-            'chunks: for &(gid, first, last) in &failed {
-                let mut attempts = 0;
-                loop {
-                    if deadline.is_some_and(|dl| dl.expired()) {
-                        break 'chunks; // verdict below re-tests the deadline
-                    }
-                    if attempts >= max_chunk_retries {
-                        exhausted = true;
-                        break 'chunks;
-                    }
-                    attempts += 1;
-                    prof.chunk_retries.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                        // RECOVERY: same containment as above — the retried
-                                                                        // chunk starts from `start_chunk` state, so a clean
-                                                                        // attempt fully reproduces the lost work.
-                    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if let Some(inj) = injector {
-                            inj.maybe_panic_chunk(gid);
-                        }
-                        loop_.run_chunk(&retry_ctx, gid, first, last);
-                    }));
-                    match outcome {
-                        Ok(()) => break,
-                        Err(_) => {
-                            prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                        }
-                    }
-                }
-            }
-            if deadline.is_some_and(|dl| dl.expired()) {
-                ParallelVerdict::TimedOut
-            } else if exhausted {
-                ParallelVerdict::RetriesExhausted
-            } else {
-                ParallelVerdict::Done
-            }
-        }
-    };
-
-    match verdict {
-        ParallelVerdict::TimedOut => {
-            merge.clear();
-            PullStatus::Stalled
-        }
-        ParallelVerdict::RetriesExhausted => {
-            // Degrade: discard all partial state and redo the phase
-            // sequentially. One plain store per destination, no merge
-            // buffer, no other threads — trivially exactly-once.
-            merge.clear();
-            prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                                      // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-            kernel
-                .accumulators()
-                .fill_range_f64(0..vsd.num_vertices(), op.identity());
-            let done = scalar_pull_pass(vsd, kernel, frontier, deadline, prof);
-            // The phase ended sequential: charge idle from effective
-            // parallelism 1 so the degraded pass doesn't report
-            // `threads − 1` phantom idle threads (the abandoned parallel
-            // attempt's imbalance is absorbed, which is the honest reading:
-            // no thread was waiting during the scalar redo).
-            prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            if done {
-                PullStatus::Degraded
-            } else {
-                PullStatus::Stalled
-            }
-        }
-        ParallelVerdict::Done => {
-            prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
-            merge_fold(kernel.accumulators(), op, merge, prof);
-            #[cfg(feature = "invariant-checks")]
-            if let Some(t) = prof.tracker.as_ref() {
-                // The §3 audit must hold even after panics and retries:
-                // abandoned chunks recorded nothing, retried chunks recorded
-                // exactly once.
-                t.end_phase().assert_clean();
-            }
-            // ATOMIC: relaxed-counter
-            prof.vectors_processed
-                .fetch_add(vsd.num_vectors() as u64, Ordering::Relaxed);
-            PullStatus::Completed
-        }
-    }
 }
 
 /// The degrade path: one sequential pass over the whole VSD array with the
@@ -1138,9 +928,14 @@ mod tests {
         let prof = Profiler::new();
         let frontier = Frontier::all(n);
         let kern = program_kernel(&prog, &vsd, Kernels::with_level(simd));
-        edge_pull(
-            &vsd, &kern, &frontier, &pool, &sched, &mut merge, mode, &prof,
-        );
+        if mode == PullMode::SchedulerAware {
+            let space = PullSpace::Full(&sched);
+            edge_pull(
+                &vsd, &kern, &frontier, space, &pool, &mut merge, &prof, None,
+            );
+        } else {
+            edge_pull_traditional(&vsd, &kern, &frontier, &pool, &sched, mode, &prof);
+        }
         let expect = expected_in_sums(&g, &prog.vals.to_vec_f64());
         for (v, want) in expect.iter().enumerate() {
             assert!(
@@ -1186,6 +981,51 @@ mod tests {
         run_mode(PullMode::SchedulerAware, SimdLevel::Scalar, 2, vecs);
     }
 
+    /// Granularity × scheduler kind → chunk counts, over both iteration
+    /// spaces and across group counts.
+    #[test]
+    fn edge_schedulers_honour_granularity() {
+        use crate::config::{EngineConfig, Granularity, SchedKind};
+        // Vertex v < 1000 has the single in-edge v+1 -> v: 1000 vectors.
+        let mut el = EdgeList::new(1001);
+        for v in 0..1000u32 {
+            el.push(v + 1, v).unwrap();
+        }
+        let g = Graph::from_edgelist(&el).unwrap();
+        let vsd = VectorSparse::from_csr(g.in_csr());
+        let vss = VectorSparse::from_csr(g.out_csr());
+        assert_eq!(vsd.num_vectors(), 1000);
+        let active = active_vector_list(&vsd, &vss, &Frontier::all(1001), None);
+        assert_eq!(active.total_vectors(), 1000);
+        for kind in [SchedKind::Central, SchedKind::LocalityStealing] {
+            // (threads, groups, granularity, full-space chunks, compacted chunks)
+            for (threads, groups, gran, full, compact) in [
+                (2, 1, Granularity::VectorsPerChunk(100), 10, 10),
+                (2, 1, Granularity::Default32n, 64, 64),
+                (4, 2, Granularity::VectorsPerChunk(100), 10, 10),
+                (4, 2, Granularity::Default32n, 128, 128),
+                (1, 1, Granularity::VectorsPerChunk(3), 334, 334),
+            ] {
+                let cfg = EngineConfig::new()
+                    .with_threads(threads)
+                    .with_groups(groups)
+                    .with_granularity(gran)
+                    .with_sched_kind(kind);
+                let pool = ThreadPool::new(threads, groups);
+                let s = EdgeSchedulers::new(&cfg, &vsd, &pool);
+                assert_eq!(
+                    s.total_chunks(),
+                    full,
+                    "{kind:?}/{threads}/{groups}/{gran:?}"
+                );
+                assert_eq!(s.num_items(), 1000);
+                let s = EdgeSchedulers::active(&cfg, &active, &pool);
+                assert_eq!(s.total_chunks(), compact, "{kind:?}/{threads}/{gran:?}");
+                assert_eq!(s.num_items(), 1000);
+            }
+        }
+    }
+
     #[test]
     fn scheduler_aware_performs_no_synchronized_updates() {
         let g = star_plus_chain(200);
@@ -1205,11 +1045,11 @@ mod tests {
             &vsd,
             &kern,
             &Frontier::all(n),
+            PullSpace::Full(&sched),
             &pool,
-            &sched,
             &mut merge,
-            PullMode::SchedulerAware,
             &prof,
+            None,
         );
         let p = prof.snapshot();
         assert_eq!(p.atomic_updates, 0, "scheduler-aware must not synchronize");
@@ -1243,11 +1083,11 @@ mod tests {
             &vsd,
             &kern,
             &frontier,
+            PullSpace::Full(&sched),
             &pool,
-            &sched,
             &mut merge,
-            PullMode::SchedulerAware,
             &prof,
+            None,
         );
         for v in 0..n as u32 {
             let expect: f64 = g.in_neighbors(v).iter().filter(|&&s| s % 2 == 0).count() as f64;
@@ -1327,11 +1167,11 @@ mod tests {
                 &vsd,
                 &kern,
                 &Frontier::all(n),
+                PullSpace::Full(scheds),
                 &pool,
-                scheds,
                 &mut merge,
-                PullMode::SchedulerAware,
                 prof,
+                None,
             );
         }
 
@@ -1407,11 +1247,11 @@ mod tests {
             &vsd,
             &kern,
             frontier,
+            PullSpace::Full(&sched),
             &pool,
-            &sched,
             &mut merge,
-            PullMode::SchedulerAware,
             &prof,
+            None,
         );
 
         let compact = mk(&vals);
@@ -1419,9 +1259,9 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::new();
         let kern = program_kernel(&compact, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, frontier, &active, &pool, &cfg, &mut merge, &prof,
-        );
+        let scheds = EdgeSchedulers::active(&cfg, &active, &pool);
+        let space = PullSpace::Active(&active, &scheds);
+        edge_pull(&vsd, &kern, frontier, space, &pool, &mut merge, &prof, None);
         for v in 0..n {
             assert_eq!(
                 dense.acc.get_f64(v).to_bits(),
@@ -1460,8 +1300,10 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::new();
         let kern = program_kernel(&prog, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, &frontier, &active, &pool, &cfg, &mut merge, &prof,
+        let scheds = EdgeSchedulers::active(&cfg, &active, &pool);
+        let space = PullSpace::Active(&active, &scheds);
+        edge_pull(
+            &vsd, &kern, &frontier, space, &pool, &mut merge, &prof, None,
         );
         for v in 0..n {
             assert_eq!(prog.acc.get_f64(v), 0.0, "vertex {v} written");
@@ -1513,11 +1355,11 @@ mod tests {
             &vsd,
             &kern,
             &frontier,
+            PullSpace::Full(&sched),
             &pool,
-            &sched,
             &mut merge,
-            PullMode::SchedulerAware,
             &prof,
+            None,
         );
 
         let active = active_vector_list(&vsd, &vss, &frontier, None);
@@ -1531,17 +1373,21 @@ mod tests {
             let mut merge = SlotBuffer::new(1);
             let prof = Profiler::new();
             let kern = program_kernel(&prog, &vsd, Kernels::auto());
-            let status = edge_pull_compact_resilient(
+            let scheds = EdgeSchedulers::active(&cfg, &active, &pool);
+            let contain = Containment {
+                deadline: None,
+                max_chunk_retries: cfg.resilience.max_chunk_retries,
+                injector: Some(&inj),
+            };
+            let status = edge_pull(
                 &vsd,
                 &kern,
                 &frontier,
-                &active,
+                PullSpace::Active(&active, &scheds),
                 &pool,
-                &cfg,
                 &mut merge,
                 &prof,
-                None,
-                Some(&inj),
+                Some(&contain),
             );
             assert_eq!(status, PullStatus::Completed);
             for v in 0..n {
@@ -1574,8 +1420,10 @@ mod tests {
         let mut merge = SlotBuffer::new(1);
         let prof = Profiler::with_tracker();
         let kern = program_kernel(&prog, &vsd, Kernels::auto());
-        edge_pull_compact(
-            &vsd, &kern, &frontier, &active, &pool, &cfg, &mut merge, &prof,
+        let scheds = EdgeSchedulers::active(&cfg, &active, &pool);
+        let space = PullSpace::Active(&active, &scheds);
+        edge_pull(
+            &vsd, &kern, &frontier, space, &pool, &mut merge, &prof, None,
         );
         let t = prof.tracker.as_ref().expect("tracker installed");
         assert_eq!(t.phases_checked(), 1, "the compacted phase must be audited");
@@ -1632,11 +1480,11 @@ mod tests {
             &vsd,
             &kern,
             &Frontier::all(n),
+            PullSpace::Full(&sched),
             &pool,
-            &sched,
             &mut merge,
-            PullMode::SchedulerAware,
             &prof,
+            None,
         );
         assert_eq!(prog.inner.acc.get_f64(0), 0.0, "converged hub got data");
         assert_eq!(prog.inner.acc.get_f64(1), 1.0); // chain edge 0 -> 1

@@ -11,6 +11,7 @@
 //! per edge set, but lower packing efficiency (paper Figure 9) and, on
 //! many parts, slower 512-bit gathers.
 
+use crate::engine::pull::{merge_fold, MergeEntry};
 use crate::frontier::Frontier;
 use crate::spmv::{frontier_lane_mask8, EdgeKernel};
 use crate::stats::Profiler;
@@ -66,7 +67,7 @@ pub fn edge_pull8<K: EdgeKernel>(
     let conv = kernel.converged();
     let total = active.map_or(vsd8.num_vectors(), |a| a.total_vectors());
     let sched = ChunkScheduler::new(total, num_chunks);
-    let merge: SlotBuffer<(u64, f64)> = SlotBuffer::new(sched.num_chunks());
+    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(sched.num_chunks());
     let wall = SpanClock::start();
     let work_before = prof.work_ns_now();
     #[cfg(feature = "invariant-checks")]
@@ -127,7 +128,15 @@ pub fn edge_pull8<K: EdgeKernel>(
                 t.record_slot_claim(chunk.id, _ctx.global_id);
             }
             // SAFETY: unique chunk ownership via the scheduler.
-            unsafe { merge.write(chunk.id, (prev_dest, partial)) };
+            unsafe {
+                merge.write(
+                    chunk.id,
+                    MergeEntry {
+                        dest: prev_dest,
+                        value: partial,
+                    },
+                )
+            };
         }
         // ATOMIC: relaxed-counter
         prof.work_ns
@@ -139,26 +148,7 @@ pub fn edge_pull8<K: EdgeKernel>(
     prof.finish_edge_phase(wall.elapsed_ns(), pool.num_threads() as u64, work_before);
 
     // Sequential merge, as in the 4-lane engine.
-    let merge_start = SpanClock::start();
-    let mut merge = merge;
-    let identity = op.identity();
-    let mut entries = 0u64;
-    for (_chunk, (dest, value)) in merge.drain() {
-        #[cfg(feature = "invariant-checks")]
-        if let Some(t) = prof.tracker.as_ref() {
-            t.record_fold(_chunk);
-        }
-        if value != identity {
-            let cur = accum.get_f64(dest as usize);
-            // DISJOINT: sequential-merge — the fold runs single-threaded
-            accum.set_f64(dest as usize, op.combine(cur, value));
-            entries += 1;
-        }
-    }
-    prof.merge_entries.fetch_add(entries, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                                                              // ATOMIC: relaxed-counter
-    prof.merge_ns
-        .fetch_add(merge_start.elapsed_ns(), Ordering::Relaxed);
+    merge_fold(accum, op, &mut merge, prof);
     // Audit the §3 contract for this Edge phase (see `edge_pull`).
     #[cfg(feature = "invariant-checks")]
     if let Some(t) = prof.tracker.as_ref() {
@@ -172,7 +162,7 @@ pub fn edge_pull8<K: EdgeKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::pull::{edge_pull, EdgeSchedulers};
+    use crate::engine::pull::{edge_pull, EdgeSchedulers, PullSpace};
     use crate::program::{AggOp, GraphProgram};
     use crate::properties::PropertyArray;
     use crate::spmv::{program_kernel, SemiringKernel};
@@ -275,11 +265,11 @@ mod tests {
             &vsd,
             &kern,
             frontier,
+            PullSpace::Full(&scheds),
             &pool,
-            &scheds,
             &mut merge,
-            crate::config::PullMode::SchedulerAware,
             &prof,
+            None,
         );
         prog.acc.to_vec_f64()
     }

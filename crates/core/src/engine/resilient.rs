@@ -1,17 +1,26 @@
-//! The fault-tolerant run loop (ISSUE 2, DESIGN.md §9).
+//! The resilience policy of the superstep loop (DESIGN.md §9).
 //!
-//! [`run_resilient`] mirrors the hybrid driver's iteration structure —
-//! Edge phase → barrier → Vertex phase → barrier — and layers four
-//! containment mechanisms on top:
+//! There is one superstep loop ([`run_supersteps`]); every public entry
+//! point hands it a [`Policy`]. The `run_program*` entry points pass the
+//! no-op policy: panics propagate, nothing is snapshotted, and
+//! `cfg.pull_mode` is honoured. [`run_resilient`] and its pool/overlay
+//! variants pass the policy built from
+//! [`EngineConfig::resilience`](crate::config::EngineConfig) and a
+//! [`ResilienceContext`], which layers four containment mechanisms on the
+//! same loop:
 //!
 //! * **Watchdog** — every superstep runs against a cooperative deadline
 //!   ([`ResilienceConfig::watchdog`]); a blown deadline ends the run with
 //!   [`EngineError::Stalled`] instead of hanging the caller.
 //! * **Chunk retry / degrade** — a worker panic during Edge-Pull is
 //!   contained to its chunk and retried on the driver thread
-//!   ([`edge_pull_resilient`]); when the retry budget runs out the phase is
-//!   redone on the sequential scalar path and the iteration is counted in
-//!   [`Profiler::degraded_iterations`](crate::stats::Profiler).
+//!   ([`edge_pull`](crate::engine::pull::edge_pull) with a
+//!   [`Containment`](crate::engine::pull::Containment)); when the retry
+//!   budget runs out the phase is redone on the sequential scalar path and
+//!   the iteration is counted in
+//!   [`Profiler::degraded_iterations`](crate::stats::Profiler). A panic in
+//!   Edge-Push, the delta fold or the Vertex phase discards that phase and
+//!   redoes it sequentially.
 //! * **Divergence guard** — after each Vertex phase the program's
 //!   persistent arrays are scanned for poison values (fused into the
 //!   snapshot copy); on detection the iteration is
@@ -27,32 +36,26 @@
 //!   order; a different geometry still converges but may differ in the
 //!   last bits).
 //!
-//! Fault *injection* (tests, benches) arrives through
-//! [`ResilienceContext::injector`]; a `None` injector makes every
-//! mechanism passive and nearly free.
+//! The contained policy always runs the scheduler-aware Edge-Pull: chunk
+//! retry is only sound under its write discipline. Fault *injection*
+//! (tests, benches) arrives through [`ResilienceContext::injector`]; a
+//! `None` injector makes every mechanism passive and nearly free.
 
 use crate::checkpoint::{Checkpoint, FrontierSnapshot};
-use crate::config::EngineConfig;
-use crate::engine::hybrid::{EngineKind, ExecutionStats};
-use crate::engine::pull::{
-    edge_pull_resilient, scalar_pull_pass, EdgeSchedulers, MergeEntry, PullStatus,
-};
-use crate::engine::push::{edge_push, edge_push_with_mode};
-use crate::engine::vertex::{reset_accumulators, vertex_phase};
+use crate::config::{EngineConfig, ResilienceConfig};
+use crate::engine::hybrid::{run_supersteps, ExecutionStats};
+use crate::engine::pull::scalar_pull_pass;
 use crate::engine::PreparedGraph;
 use crate::faults::ExecInjector;
 use crate::frontier::{DenseBitmap, Frontier};
 use crate::program::GraphProgram;
-use crate::spmv::spa::SpaScratch;
-use crate::spmv::{program_kernel, EdgeKernel};
+use crate::spmv::EdgeKernel;
 use crate::stats::Profiler;
-use crate::trace::{Deadline, FlightRecorder, IterationRecord, SpanClock};
+use crate::trace::{Deadline, SpanClock};
 use grazelle_graph::types::GraphError;
 use grazelle_sched::cancel::CancelFlag;
 use grazelle_sched::pool::ThreadPool;
-use grazelle_sched::slots::SlotBuffer;
 use grazelle_vsparse::build::Vss;
-use grazelle_vsparse::simd::Kernels;
 use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::Ordering;
@@ -179,43 +182,141 @@ pub struct ResilientRun {
     pub resumed_from: Option<usize>,
 }
 
-/// Reference implementation of the divergence predicate: the externally
-/// visible iterate (`edge_values`) must stay finite; the remaining
-/// *persistent* checkpoint arrays are scanned for NaN, because Min/Max
-/// accumulators legitimately hold ±∞ identities. The transient accumulator
-/// array is exempt unless it doubles as the iterate: poison there either
-/// propagates into an applied array during the Vertex phase (caught here)
-/// or is erased by the next `reset_accumulators` (harmless by
-/// construction). The run loop uses the equivalent fused copy-and-scan in
-/// [`RollbackSlot::capture_arrays_and_scan`]; tests assert the two agree.
-#[cfg(test)]
-fn diverged<P: GraphProgram>(prog: &P) -> bool {
-    if prog
-        .edge_values()
-        .as_f64_slice()
-        .iter()
-        .any(|v| !v.is_finite())
-    {
-        return true;
-    }
-    let ev = prog.edge_values().as_f64_slice().as_ptr();
-    let acc = prog.accumulators().as_f64_slice().as_ptr();
-    prog.checkpoint_arrays().iter().any(|a| {
-        let s = a.as_f64_slice();
-        !std::ptr::eq(s.as_ptr(), acc)
-            && !std::ptr::eq(s.as_ptr(), ev)
-            && s.iter().any(|v| v.is_nan())
-    })
+/// The resilience policy one run of the superstep loop executes under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Policy<'a> {
+    /// Catch phase panics and repair them (chunk retry, sequential redo).
+    /// Also pins Edge-Pull to the scheduler-aware interface, the only one
+    /// chunk retry is sound under; without it `cfg.pull_mode` is honoured.
+    pub(crate) contain: bool,
+    /// Watchdog, divergence guard, checkpoint cadence and retry budget.
+    pub(crate) res: ResilienceConfig,
+    /// Checkpoint location, fault injector and cancellation flag.
+    pub(crate) rctx: ResilienceContext<'a>,
 }
 
-/// Reusable buffers for the divergence guard's last-good snapshot.
+impl<'a> Policy<'a> {
+    /// The no-op policy: no panic containment, watchdog, snapshot,
+    /// checkpoint or cancellation.
+    pub(crate) fn clean() -> Self {
+        Policy {
+            contain: false,
+            res: ResilienceConfig {
+                watchdog: None,
+                divergence_guard: false,
+                checkpoint_every: 0,
+                max_chunk_retries: 0,
+            },
+            rctx: ResilienceContext::new(),
+        }
+    }
+
+    /// Full containment, configured by `res` and `rctx`.
+    pub(crate) fn contained(res: ResilienceConfig, rctx: ResilienceContext<'a>) -> Self {
+        Policy {
+            contain: true,
+            res,
+            rctx,
+        }
+    }
+
+    /// Runs one phase; `None` when the phase panicked and the policy
+    /// contained it (the caller then repairs and redoes the phase). Without
+    /// containment a panic propagates to the caller unchanged.
+    pub(crate) fn guard<R>(&self, phase: impl FnOnce() -> R) -> Option<R> {
+        if !self.contain {
+            return Some(phase());
+        }
+        // RECOVERY: every call site documents what a panicked phase may
+        // leave behind and redoes the phase sequentially on `None`.
+        std::panic::catch_unwind(AssertUnwindSafe(phase)).ok()
+    }
+
+    /// Resumes from a valid checkpoint at the context's path: restores the
+    /// program arrays and returns the completed-iteration count and the
+    /// frontier to continue with. A corrupt or mismatched checkpoint is not
+    /// fatal: the format layer rejects it (checksum/shape) and the run
+    /// starts fresh.
+    pub(crate) fn resume<P: GraphProgram>(
+        &self,
+        prog: &P,
+        prof: &Profiler,
+    ) -> Option<(usize, Frontier)> {
+        let path = self.rctx.checkpoint_path.filter(|p| p.exists())?;
+        let ck = Checkpoint::load(path).ok()?;
+        ck.restore_into(&prog.checkpoint_arrays()).ok()?;
+        prof.checkpoint_restores.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+        Some((ck.iteration, ck.frontier.restore()))
+    }
+
+    /// Writes a checkpoint after `done` completed iterations when the
+    /// cadence calls for one.
+    pub(crate) fn checkpoint<P: GraphProgram>(
+        &self,
+        done: usize,
+        prog: &P,
+        frontier: &Frontier,
+        prof: &Profiler,
+    ) -> Result<(), EngineError> {
+        let every = self.res.checkpoint_every;
+        let due = every > 0 && done.is_multiple_of(every);
+        if let Some(path) = self.rctx.checkpoint_path.filter(|_| due) {
+            Checkpoint::capture(done, &prog.checkpoint_arrays(), frontier)
+                .save(path)
+                .map_err(EngineError::Checkpoint)?;
+            prof.checkpoints_written.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+        }
+        Ok(())
+    }
+}
+
+/// The divergence guard's last-good state, double-buffered.
 ///
 /// The guard needs a copy of the complete program state every iteration;
 /// allocating one per iteration (as `Checkpoint::capture` does) would
 /// dominate clean-run cost, breaking the ≤3% overhead budget. Instead two
 /// slots double-buffer the state, and the post-iteration poison scan is
 /// fused into the copy so each array is swept exactly once per iteration
-/// with zero steady-state allocation.
+/// with zero steady-state allocation. `last_good` always holds the state
+/// at the start of the iteration being run; `scratch` receives the fused
+/// copy-and-scan of each iteration's result and the two swap when the scan
+/// comes back clean.
+pub(crate) struct DivergenceGuard {
+    last_good: RollbackSlot,
+    scratch: RollbackSlot,
+}
+
+impl DivergenceGuard {
+    /// Snapshots the state the run starts from.
+    pub(crate) fn new<P: GraphProgram>(prog: &P, frontier: &Frontier) -> Self {
+        DivergenceGuard {
+            last_good: RollbackSlot::capture(prog, frontier),
+            scratch: RollbackSlot::empty(),
+        }
+    }
+
+    /// Scans the state a Vertex phase left. Clean: the scan's copy becomes
+    /// the new last-good snapshot and `None` is returned (its frontier is
+    /// filled in by [`DivergenceGuard::set_frontier`] after the update).
+    /// Poisoned: the rollback is counted, the program is rolled back to
+    /// the last-good snapshot and the frontier it was taken with is
+    /// returned.
+    pub(crate) fn check<P: GraphProgram>(&mut self, prog: &P, prof: &Profiler) -> Option<Frontier> {
+        if self.scratch.capture_arrays_and_scan(prog) {
+            prof.divergence_rollbacks.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+            return Some(self.last_good.restore_into(prog));
+        }
+        std::mem::swap(&mut self.last_good, &mut self.scratch);
+        None
+    }
+
+    /// Records the frontier the last-good state re-enters the loop with.
+    pub(crate) fn set_frontier(&mut self, frontier: &Frontier) {
+        self.last_good.set_frontier(frontier);
+    }
+}
+
+/// One snapshot of the program state for the divergence guard.
 struct RollbackSlot {
     /// Raw bits per checkpoint array, in `checkpoint_arrays` order.
     arrays: Vec<Vec<u64>>,
@@ -355,9 +456,6 @@ impl RollbackSlot {
     }
 }
 
-/// Runs `prog` to completion with the full containment layer. See the
-/// module docs for semantics; resilience knobs come from
-/// `cfg.resilience`, checkpoint location and fault injection from `rctx`.
 /// Sequential redo half of the delta phase's panic containment: combines
 /// every frontier-active delta edge into the accumulators, single-threaded,
 /// with the same per-edge semantics as `edge_push` (converged destinations
@@ -391,6 +489,78 @@ fn sequential_delta_push<K: EdgeKernel>(vss: &Vss, kernel: &K, frontier: &Fronti
     }
 }
 
+/// Sequential redo of a discarded Edge phase (a contained Edge-Push or
+/// delta-push panic): resets the accumulators, recomputes the base
+/// aggregate with one scalar frontier-masked pull pass and, with `delta`
+/// set, folds the overlay with a single-threaded delta push. Both passes
+/// combine from the reset accumulators, so the result is the same
+/// per-destination aggregate. Returns `false` when the watchdog expired
+/// mid-pass.
+pub(crate) fn redo_edge_phase<K: EdgeKernel>(
+    pg: &PreparedGraph,
+    kern: &K,
+    frontier: &Frontier,
+    delta: Option<&Vss>,
+    deadline: Option<Deadline>,
+    prof: &Profiler,
+) -> bool {
+    prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+    prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+
+    // DISJOINT: sequential-merge — degrade-path reset, single-threaded
+    kern.accumulators()
+        .fill_range_f64(0..pg.num_vertices, kern.op().identity());
+    // The panicked phase never reached its own wall/idle accounting (the
+    // panic unwound through the pool before it); the sequential redo
+    // charges its own wall at effective parallelism 1, so the degraded
+    // iteration reports no phantom idle threads.
+    let wall = SpanClock::start();
+    let work_before = prof.work_ns_now();
+    let done = scalar_pull_pass(&pg.vsd, kern, frontier, deadline, prof);
+    if let Some(d) = delta {
+        sequential_delta_push(d, kern, frontier);
+    }
+    prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
+    done
+}
+
+/// Sequential redo of a discarded Vertex phase (see the `RECOVERY:` note at
+/// its call site in the superstep loop); returns the rebuilt next frontier
+/// (for frontier programs) and the active count.
+pub(crate) fn redo_vertex_phase<P: GraphProgram>(
+    prog: &P,
+    guard: Option<&DivergenceGuard>,
+    prof: &Profiler,
+) -> (Option<DenseBitmap>, usize) {
+    prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+    prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
+    let n = prog.num_vertices() as u32;
+    let fresh = prog.uses_frontier().then(|| DenseBitmap::new(n as usize));
+    let identity = prog.op().identity().to_bits();
+    if let Some(g) = guard {
+        // Roll back the partial commits (keeps the current frontier; the
+        // snapshot's copy is the same one), then re-apply for exact values
+        // and activation bits.
+        let _ = g.last_good.restore_into(prog);
+    }
+    let mut active = 0usize;
+    for v in 0..n {
+        let changed = prog.apply(v);
+        let conservative =
+            guard.is_none() && prog.accumulators().get_f64(v as usize).to_bits() != identity;
+        if changed || conservative {
+            active += 1;
+            if let Some(f) = fresh.as_ref() {
+                f.insert(v);
+            }
+        }
+    }
+    (fresh, active)
+}
+
+/// Runs `prog` to completion under the contained policy (see the module
+/// docs): resilience knobs come from `cfg.resilience`, checkpoint location,
+/// fault injection and cancellation from `rctx`.
 pub fn run_resilient<P: GraphProgram>(
     pg: &PreparedGraph,
     prog: &P,
@@ -415,15 +585,13 @@ pub fn run_resilient_on_pool<P: GraphProgram>(
 }
 
 /// [`run_resilient_on_pool`] over a versioned graph: `delta` is the
-/// prepared overlay of pending edge inserts (same vertex set as `pg`).
-///
-/// Mirrors `run_program_overlay_on_pool`: after the base Edge phase, the
-/// delta edges fold into the accumulators with a combining Edge-Push pass
-/// over the delta's VSS — strictly second, because the scheduler-aware pull
-/// direct-stores interior destinations. The delta pass keeps the resilient
-/// containment contract: a panicked delta push discards the whole Edge
-/// phase and recomputes it sequentially (base scalar pull + sequential
-/// delta push), exactly like the base push's own recovery.
+/// prepared overlay of pending edge inserts (same vertex set as `pg`),
+/// folded in after each base Edge phase exactly as in
+/// [`run_program_overlay_on_pool`](crate::engine::hybrid::run_program_overlay_on_pool).
+/// The delta pass keeps the containment contract: a panicked delta push
+/// discards the whole Edge phase and recomputes it sequentially (base
+/// scalar pull + sequential delta push), exactly like the base push's own
+/// recovery.
 pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     pg: &PreparedGraph,
     delta: Option<&PreparedGraph>,
@@ -432,492 +600,47 @@ pub fn run_resilient_overlay_on_pool<P: GraphProgram>(
     rctx: &ResilienceContext<'_>,
     pool: &ThreadPool,
 ) -> Result<ResilientRun, EngineError> {
-    assert_eq!(
-        prog.num_vertices(),
-        pg.num_vertices,
-        "program arrays must match the graph"
-    );
-    if let Some(d) = delta {
-        assert_eq!(
-            d.num_vertices, pg.num_vertices,
-            "delta must cover the base vertex set"
-        );
-    }
-    let delta = delta.filter(|d| d.num_edges > 0);
-    // The Edge-Push panic fallback calls `scalar_pull_pass` directly, whose
-    // unsafe vertex-indexed reads rely on these bounds — enforce them here
-    // (as `edge_pull_resilient` does on the pull path) so every path into
-    // that pass is covered.
-    assert!(
-        prog.edge_values().len() >= pg.vsd.num_vertices(),
-        "edge_values must cover every vertex"
-    );
-    assert!(
-        prog.accumulators().len() >= pg.vsd.num_vertices(),
-        "accumulators must cover every vertex"
-    );
-    let res = cfg.resilience;
-    let scheds = EdgeSchedulers::new(cfg, &pg.vsd, pool);
-    let mut merge: SlotBuffer<MergeEntry> = SlotBuffer::new(scheds.total_chunks());
-    // SPA bucket storage, reused across supersteps (DESIGN.md §17). Safe
-    // across panic containment: workers clear their buckets at scatter
-    // start, so a discarded phase cannot leak stale entries into the redo.
-    let mut spa_scratch = SpaScratch::new();
-    let kernels = Kernels::with_level(cfg.simd);
-    // One masked-SpMV kernel per run, shared by every Edge-phase path —
-    // parallel pull/push and their sequential degrade redos alike
-    // (DESIGN.md §16).
-    let kern = program_kernel(prog, &pg.vsd, kernels);
-    // Out-degree table for the direction model; built lazily on the first
-    // iteration that computes a density.
-    let mut out_degrees: Option<Vec<u32>> = None;
-    #[cfg(feature = "invariant-checks")]
-    let prof = Profiler::with_tracker();
-    #[cfg(not(feature = "invariant-checks"))]
-    let prof = Profiler::new();
-
-    let mut frontier = prog.initial_frontier();
-    let mut start_iter = 0usize;
-    let mut resumed_from = None;
-    if let Some(path) = rctx.checkpoint_path {
-        if path.exists() {
-            // A corrupt or mismatched checkpoint is not fatal: the format
-            // layer rejects it (checksum/shape) and the run starts fresh.
-            if let Ok(ck) = Checkpoint::load(path) {
-                if ck.restore_into(&prog.checkpoint_arrays()).is_ok() {
-                    start_iter = ck.iteration;
-                    frontier = ck.frontier.restore();
-                    resumed_from = Some(ck.iteration);
-                    prof.checkpoint_restores.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                }
-            }
-        }
-    }
-
-    let mut pull_iterations = 0usize;
-    let mut push_iterations = 0usize;
-    let mut engine_trace = Vec::new();
-    let mut iterations = start_iter;
-    let mut rollbacks_this_iter = 0u32;
-    let mut diverged_stop = false;
-    // Divergence-guard state: a double-buffered last-good snapshot.
-    // `last_good` always holds the state at the start of the iteration
-    // being run; `scratch` receives the fused copy-and-scan of each
-    // iteration's result and the two swap when the scan comes back clean.
-    let mut last_good = res
-        .divergence_guard
-        .then(|| RollbackSlot::capture(prog, &frontier));
-    let mut scratch = res.divergence_guard.then(RollbackSlot::empty);
-    let mut recorder = if cfg.trace {
-        FlightRecorder::new()
-    } else {
-        FlightRecorder::disabled()
-    };
-    let start = SpanClock::start();
-
-    let mut iter = start_iter;
-    while iter < cfg.max_iterations {
-        // Cooperative cancellation is observed only here, at the iteration
-        // boundary: every array holds the state of the last completed
-        // iteration, so a cancelled query leaves nothing torn and the pool
-        // needs no cleanup.
-        if rctx.cancel.is_some_and(|c| c.is_cancelled()) {
-            return Err(EngineError::Cancelled { iteration: iter });
-        }
-        let deadline = res.watchdog.map(Deadline::after);
-        if let Some(inj) = rctx.injector {
-            inj.set_iteration(iter);
-        }
-        prog.pre_iteration(iter);
-        // One density computation per superstep, shared by engine
-        // selection, the frontier-aware pull gate, and the trace (same
-        // discipline as the hybrid driver): `None` when selection
-        // short-circuits to pull (frontier-less programs, all-active).
-        let density = (prog.uses_frontier() && !frontier.is_all()).then(|| frontier.density());
-        // Disabled-recorder cost per executed superstep: this one branch
-        // (and the matching one at record-push time).
-        let snap_before = recorder.is_enabled().then(|| prof.snapshot());
-        let sparse_repr = matches!(frontier, Frontier::Sparse { .. });
-        reset_accumulators(prog, pool, &prof);
-
-        // Direction choice (DESIGN.md §16): one shared [`Decision`] feeds
-        // engine selection, the compaction gate, and the trace — the same
-        // model as the hybrid driver.
-        if density.is_some()
-            && cfg.direction_policy == crate::config::DirectionPolicy::CostModel
-            && out_degrees.is_none()
-        {
-            out_degrees = Some(crate::direction::out_degree_table(&pg.vss));
-        }
-        let converged = prog.converged().map_or(0, |c| c.count());
-        let decision = crate::direction::decide(
-            cfg,
-            density,
-            &frontier,
-            out_degrees.as_deref(),
-            pg.num_edges,
-            pg.num_vertices,
-            converged,
-        );
-        let use_pull = decision.use_pull;
-        // Threads that actually executed the Edge phase (1 when it
-        // degraded to the sequential scalar redo) — recorded per superstep.
-        let mut edge_parallelism = pool.num_threads() as u32;
-        // Active-vector count when the frontier-aware compacted pull ran.
-        let mut compacted: Option<u64> = None;
-        if use_pull {
-            // Frontier-aware pull (DESIGN.md §11), same gate as the hybrid
-            // driver; the compacted phase keeps the dense resilient path's
-            // containment (chunk retry, watchdog, sequential degrade).
-            let active = (cfg.frontier_pull
-                && cfg.pull_mode == crate::config::PullMode::SchedulerAware
-                && decision.compact)
-                .then(|| {
-                    crate::engine::pull::active_vector_list(
-                        &pg.vsd,
-                        &pg.vss,
-                        &frontier,
-                        prog.converged(),
-                    )
-                })
-                .filter(|a| a.total_vectors() * 10 < pg.vsd.num_vectors() * 6);
-            let status = if let Some(a) = &active {
-                compacted = Some(a.total_vectors() as u64);
-                crate::engine::pull::edge_pull_compact_resilient(
-                    &pg.vsd,
-                    &kern,
-                    &frontier,
-                    a,
-                    pool,
-                    cfg,
-                    &mut merge,
-                    &prof,
-                    deadline,
-                    rctx.injector,
-                )
-            } else {
-                scheds.reset();
-                edge_pull_resilient(
-                    &pg.vsd,
-                    &kern,
-                    &frontier,
-                    pool,
-                    &scheds,
-                    &mut merge,
-                    &prof,
-                    deadline,
-                    res.max_chunk_retries,
-                    rctx.injector,
-                )
-            };
-            match status {
-                PullStatus::Completed => {}
-                PullStatus::Degraded => {
-                    // The degrade redo is a full-array sequential pass, so
-                    // the record must not claim the compacted path ran.
-                    edge_parallelism = 1;
-                    compacted = None;
-                }
-                PullStatus::Stalled => return Err(EngineError::Stalled { iteration: iter }),
-            }
-            pull_iterations += 1;
-            engine_trace.push(EngineKind::Pull);
-        } else {
-            // RECOVERY: Edge-Push scatters with non-idempotent synchronized
-            // read-modify-writes, so a panicked push phase cannot be
-            // partially retried. Containment instead discards the phase —
-            // reset the accumulators and recompute the identical aggregate
-            // with one sequential frontier-masked pull pass (for any
-            // frontier, push-from-active-sources and pull-masked-to-active-
-            // sources produce the same per-destination aggregate).
-            // Scatter discipline from the shared decision (DESIGN.md §17).
-            // Containment is identical for both arms: a panic anywhere in
-            // the SPA scatter/merge pipeline (like one in the synchronized
-            // scatter) discards the phase wholesale and redoes it below.
-            let pushed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                edge_push_with_mode(
-                    &pg.vss,
-                    &kern,
-                    &frontier,
-                    pool,
-                    &prof,
-                    decision.scatter,
-                    &mut spa_scratch,
-                );
-            }));
-            if pushed.is_err() {
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                edge_parallelism = 1;
-                // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-                prog.accumulators()
-                    .fill_range_f64(0..pg.num_vertices, prog.op().identity());
-                // The panicked push phase never reached its own wall/idle
-                // accounting (the panic unwound through the pool before it);
-                // the sequential redo charges its own wall at effective
-                // parallelism 1, so the degraded iteration reports no
-                // phantom idle threads.
-                let wall = SpanClock::start();
-                let work_before = prof.work_ns_now();
-                let done = scalar_pull_pass(&pg.vsd, &kern, &frontier, deadline, &prof);
-                prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-                if !done {
-                    return Err(EngineError::Stalled { iteration: iter });
-                }
-            }
-            push_iterations += 1;
-            engine_trace.push(EngineKind::Push);
-        }
-        // Delta phase: combine pending-insert edges after the base phase.
-        if let Some(d) = delta {
-            // RECOVERY: like the base push, the delta push's synchronized
-            // read-modify-writes cannot be partially retried — a panic
-            // discards the whole Edge phase (base aggregate included, since
-            // the partial delta commits polluted it) and recomputes it
-            // sequentially: scalar base pull, then a single-threaded delta
-            // push. Both redo passes combine from a reset accumulator, so
-            // the result is the same per-destination aggregate.
-            let pushed = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                edge_push(&d.vss, &kern, &frontier, pool, &prof);
-            }));
-            if pushed.is_err() {
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                edge_parallelism = 1;
-                compacted = None;
-                // DISJOINT: sequential-merge — degrade-path reset, single-threaded
-                prog.accumulators()
-                    .fill_range_f64(0..pg.num_vertices, prog.op().identity());
-                let wall = SpanClock::start();
-                let work_before = prof.work_ns_now();
-                let done = scalar_pull_pass(&pg.vsd, &kern, &frontier, deadline, &prof);
-                sequential_delta_push(&d.vss, &kern, &frontier);
-                prof.finish_edge_phase(wall.elapsed_ns(), 1, work_before);
-                if !done {
-                    return Err(EngineError::Stalled { iteration: iter });
-                }
-            }
-        }
-        if deadline.is_some_and(|dl| dl.expired()) {
-            return Err(EngineError::Stalled { iteration: iter });
-        }
-
-        // Injected NaN poison lands between the phases, exactly where a
-        // corrupted Edge-phase result would sit.
-        if let Some(inj) = rctx.injector {
-            if let Some(v) = inj.poison_target() {
-                // DISJOINT: sequential-merge — fault injection between phases,
-                // single-threaded
-                prog.accumulators().set_f64(v, f64::NAN);
-            }
-        }
-
-        let mut next = prog
-            .uses_frontier()
-            .then(|| DenseBitmap::new(pg.num_vertices));
-        // Threads that actually executed the Vertex phase (1 on the
-        // sequential panic-recovery fallback below) — recorded per superstep.
-        let mut vertex_parallelism = pool.num_threads() as u32;
-        // RECOVERY: the Vertex phase's local update reads the (intact)
-        // accumulators and overwrites the vertex properties — for the
-        // supported programs `apply` is idempotent on *values*, so the
-        // phase can be re-run sequentially into a fresh frontier bitmap
-        // (the partially filled one is discarded). Its *return value* is
-        // not idempotent, though: a vertex whose update committed before
-        // the panic reports "unchanged" on re-run and would silently drop
-        // out of the rebuilt frontier. So either the properties are rolled
-        // back to their pre-phase state first (the divergence guard's
-        // last-good snapshot was taken before this phase touched them, and
-        // the Edge phase only writes accumulators, which `restore_into`
-        // skips), making the re-run's activation bits exact, or — with the
-        // guard off — activation is rebuilt conservatively: any vertex
-        // whose aggregate differs from the operator identity may have
-        // changed this phase. The superset is safe for the supported
-        // frontier programs (idempotent Min/Max propagation): extra active
-        // sources re-contribute values their neighbors have already
-        // absorbed, and the over-count only delays `should_stop` by at
-        // most one no-op iteration.
-        let applied = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            vertex_phase(prog, pool, next.as_ref(), cfg.simd, &prof)
-        }));
-        let active = match applied {
-            Ok(a) => a,
-            Err(_) => {
-                vertex_parallelism = 1;
-                prof.chunk_panics.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                prof.degraded_iterations.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                let fresh = prog
-                    .uses_frontier()
-                    .then(|| DenseBitmap::new(pg.num_vertices));
-                let mut active = 0usize;
-                if let Some(lg) = last_good.as_ref() {
-                    // Roll back the partial commits (keeps the current
-                    // frontier; the snapshot's copy is the same one), then
-                    // re-apply for exact values and activation bits.
-                    let _ = lg.restore_into(prog);
-                    for v in 0..pg.num_vertices as u32 {
-                        if prog.apply(v) {
-                            active += 1;
-                            if let Some(f) = fresh.as_ref() {
-                                f.insert(v);
-                            }
-                        }
-                    }
-                } else {
-                    let identity = prog.op().identity().to_bits();
-                    let acc = prog.accumulators();
-                    for v in 0..pg.num_vertices as u32 {
-                        let changed = prog.apply(v);
-                        if changed || acc.get_f64(v as usize).to_bits() != identity {
-                            active += 1;
-                            if let Some(f) = fresh.as_ref() {
-                                f.insert(v);
-                            }
-                        }
-                    }
-                }
-                next = fresh;
-                active
-            }
-        };
-        if deadline.is_some_and(|dl| dl.expired()) {
-            return Err(EngineError::Stalled { iteration: iter });
-        }
-
-        let engine = if use_pull {
-            EngineKind::Pull
-        } else {
-            EngineKind::Push
-        };
-        if let (Some(lg), Some(sc)) = (last_good.as_mut(), scratch.as_mut()) {
-            if sc.capture_arrays_and_scan(prog) {
-                prof.divergence_rollbacks.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-                rollbacks_this_iter += 1;
-                frontier = lg.restore_into(prog);
-                // A rolled-back execution is still an executed superstep:
-                // record it (the re-run contributes a second record with
-                // the same `iteration`, so trace length = iterations +
-                // rollbacks, matching `engine_trace`).
-                if let Some(before) = snap_before.as_ref() {
-                    let mut rec = IterationRecord::from_snapshots(
-                        iter as u32,
-                        engine,
-                        density.unwrap_or(1.0),
-                        cfg.pull_threshold,
-                        sparse_repr,
-                        before,
-                        &prof.snapshot(),
-                        edge_parallelism,
-                        vertex_parallelism,
-                        true,
-                    );
-                    if let Some(av) = compacted {
-                        rec.pull_compacted = true;
-                        rec.active_vectors = av;
-                    }
-                    rec.dir_frontier_edges = decision.frontier_edges;
-                    rec.dir_unvisited_edges = decision.unvisited_edges;
-                    rec.scatter_mode = (!use_pull).then_some(decision.scatter);
-                    recorder.push(rec);
-                }
-                if rollbacks_this_iter >= 2 {
-                    // Persistent divergence: stop at the last finite
-                    // iterate.
-                    diverged_stop = true;
-                    break;
-                }
-                continue; // re-run the same iteration
-            }
-            // Clean: the scratch copy becomes the new last-good snapshot
-            // (its frontier is filled in below, after the update).
-            std::mem::swap(lg, sc);
-        }
-        rollbacks_this_iter = 0;
-
-        if let Some(nb) = next {
-            let dense = Frontier::Dense(nb);
-            frontier = if cfg.sparse_frontier
-                && (active as f64) <= cfg.sparse_threshold * pg.num_vertices as f64
-            {
-                dense.to_sparse()
-            } else {
-                dense
-            };
-        }
-        if let Some(lg) = last_good.as_mut() {
-            lg.set_frontier(&frontier);
-        }
-        iterations = iter + 1;
-        if let Some(before) = snap_before.as_ref() {
-            let mut rec = IterationRecord::from_snapshots(
-                iter as u32,
-                engine,
-                density.unwrap_or(1.0),
-                cfg.pull_threshold,
-                sparse_repr,
-                before,
-                &prof.snapshot(),
-                edge_parallelism,
-                vertex_parallelism,
-                false,
-            );
-            if let Some(av) = compacted {
-                rec.pull_compacted = true;
-                rec.active_vectors = av;
-            }
-            rec.dir_frontier_edges = decision.frontier_edges;
-            rec.dir_unvisited_edges = decision.unvisited_edges;
-            rec.scatter_mode = (!use_pull).then_some(decision.scatter);
-            recorder.push(rec);
-        }
-
-        if res.checkpoint_every > 0 && (iter + 1).is_multiple_of(res.checkpoint_every) {
-            if let Some(path) = rctx.checkpoint_path {
-                Checkpoint::capture(iter + 1, &prog.checkpoint_arrays(), &frontier)
-                    .save(path)
-                    .map_err(EngineError::Checkpoint)?;
-                prof.checkpoints_written.fetch_add(1, Ordering::Relaxed); // ATOMIC: relaxed-counter
-            }
-        }
-
-        let stop = prog.should_stop(iter, active);
-        iter += 1;
-        if stop {
-            break;
-        }
-    }
-
-    let profile = prof.snapshot();
-    let outcome = if diverged_stop {
-        RunOutcome::DivergedRecovered
-    } else if !profile.resilience_clean() || profile.checkpoint_restores > 0 {
-        RunOutcome::Recovered
-    } else {
-        RunOutcome::Clean
-    };
-    Ok(ResilientRun {
-        stats: ExecutionStats {
-            iterations,
-            pull_iterations,
-            push_iterations,
-            wall: start.elapsed(),
-            profile,
-            engine_trace,
-            records: recorder.into_records(),
-        },
-        outcome,
-        resumed_from,
-    })
+    let policy = Policy::contained(cfg.resilience, *rctx);
+    run_supersteps(pg, delta, prog, cfg, &policy, pool)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
+    use crate::engine::hybrid::EngineKind;
     use crate::program::AggOp;
     use crate::properties::PropertyArray;
     use grazelle_graph::edgelist::EdgeList;
     use grazelle_graph::graph::Graph;
+
+    /// Reference implementation of the divergence predicate: the externally
+    /// visible iterate (`edge_values`) must stay finite; the remaining
+    /// *persistent* checkpoint arrays are scanned for NaN, because Min/Max
+    /// accumulators legitimately hold ±∞ identities. The transient accumulator
+    /// array is exempt unless it doubles as the iterate: poison there either
+    /// propagates into an applied array during the Vertex phase (caught here)
+    /// or is erased by the next `reset_accumulators` (harmless by
+    /// construction). The run loop uses the equivalent fused copy-and-scan in
+    /// [`RollbackSlot::capture_arrays_and_scan`]; tests assert the two agree.
+    fn diverged<P: GraphProgram>(prog: &P) -> bool {
+        if prog
+            .edge_values()
+            .as_f64_slice()
+            .iter()
+            .any(|v| !v.is_finite())
+        {
+            return true;
+        }
+        let ev = prog.edge_values().as_f64_slice().as_ptr();
+        let acc = prog.accumulators().as_f64_slice().as_ptr();
+        prog.checkpoint_arrays().iter().any(|a| {
+            let s = a.as_f64_slice();
+            !std::ptr::eq(s.as_ptr(), acc)
+                && !std::ptr::eq(s.as_ptr(), ev)
+                && s.iter().any(|v| v.is_nan())
+        })
+    }
 
     /// The hybrid driver's label-propagation test program, reused here so
     /// the resilient loop is exercised through engine switching too.

@@ -449,7 +449,7 @@ impl IntersectKernel {
             .map(|v| self.accum.get_f64(v))
             .sum();
         let sum = sum as u64;
-        debug_assert!(sum.is_multiple_of(6), "per-vertex triangle sum must be 6T");
+        assert!(sum.is_multiple_of(6), "per-vertex triangle sum must be 6T");
         sum / 6
     }
 }

@@ -15,7 +15,7 @@
 //! this suite's substitute for a shrunken minimal example.
 
 use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode, SchedKind};
-use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
+use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind, ExecutionStats};
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::{run_resilient_on_pool, ResilienceContext, RunOutcome, VersionedGraph};
 use grazelle::graph::delta::UpdateBatch;
@@ -157,6 +157,22 @@ fn drive<P: grazelle::core::GraphProgram>(
     }
 }
 
+/// Runs a fresh `mk()` program through `run_program_on_pool` (the no-op
+/// resilience policy) and another through `run_resilient_on_pool` (the
+/// contained policy), which must come back clean; returns both stats.
+fn both_policies<P: grazelle::core::GraphProgram>(
+    pg: &PreparedGraph,
+    cfg: &EngineConfig,
+    pool: &ThreadPool,
+    mk: impl Fn() -> P,
+) -> (ExecutionStats, ExecutionStats) {
+    let clean = run_program_on_pool(pg, &mk(), cfg, pool);
+    let run = run_resilient_on_pool(pg, &mk(), cfg, &ResilienceContext::new(), pool)
+        .unwrap_or_else(|e| panic!("contained policy failed: {e:?}"));
+    assert_eq!(run.outcome, RunOutcome::Clean);
+    (clean, run.stats)
+}
+
 fn check_all_arms(g: &Graph, root: u32) {
     let gw = weighted_copy(g);
     let n = g.num_vertices();
@@ -221,6 +237,7 @@ fn check_all_arms(g: &Graph, root: u32) {
                 .unwrap_or_else(|e| panic!("{name}: triangle resilient run: {e:?}"))
         } else {
             triangle::counts_prepared(g, &pg, &cfg, &pool)
+                .unwrap_or_else(|e| panic!("{name}: triangle run: {e}"))
         };
         assert_eq!(got_tc, want_tc, "{name}: triangles");
     }
@@ -354,7 +371,8 @@ proptest! {
 
         // Triangle counting's compacted-vs-dense agreement: one Edge phase
         // over the explicit active-vector list vs the full vector space.
-        let dense = grazelle_apps::triangle::counts_prepared(&g, &pg, &pinned, &pool);
+        let dense = grazelle_apps::triangle::counts_prepared(&g, &pg, &pinned, &pool)
+            .expect("exact pull interface");
         let compact = grazelle_apps::triangle::counts_compacted(
             &g,
             &pg,
@@ -431,6 +449,58 @@ proptest! {
         for (i, (labels, parents)) in outputs.iter().enumerate().skip(1) {
             prop_assert_eq!(&outputs[0].0, labels, "CC: {} diverged", policies[i].0);
             prop_assert_eq!(&outputs[0].1, parents, "BFS: {} diverged", policies[i].0);
+        }
+    }
+
+    /// Property: the no-op and the contained resilience policies drive the
+    /// one superstep loop through the same decisions. On a clean run the
+    /// contained policy never intervenes, so every superstep must pick the
+    /// same engine, the same pull space and scatter mode, from the same
+    /// recorded density and direction costs.
+    #[test]
+    fn prop_resilience_policies_make_the_same_decisions(
+        family in 0u8..3,
+        seed in 0u64..1_000_000,
+        root_pick in 0u32..64,
+    ) {
+        let g = family_graph(family, seed);
+        let gw = weighted_copy(&g);
+        let n = g.num_vertices();
+        let root = root_pick % n as u32;
+        let pg = PreparedGraph::new(&g);
+        let pgw = PreparedGraph::new(&gw);
+        for threads in [1usize, 2, 8] {
+            let pool = ThreadPool::single_group(threads);
+            let cfg = EngineConfig::new().with_threads(threads).with_trace(true);
+            let pr_cfg = cfg.with_max_iterations(PR_ITERS);
+            // BFS and SSSP hold ∞ at unreachable vertices, which the
+            // divergence guard would roll back; CC and PR keep it on.
+            let unguarded = cfg.with_resilience(no_guard());
+            let runs = [
+                ("CC", both_policies(&pg, &cfg, &pool, || ConnectedComponents::new(n))),
+                ("BFS", both_policies(&pg, &unguarded, &pool, || Bfs::new(n, root))),
+                ("SSSP", both_policies(&pgw, &unguarded, &pool, || Sssp::new(n, root))),
+                ("PR", both_policies(&pg, &pr_cfg, &pool, || PageRank::new(&g, pagerank::DAMPING))),
+            ];
+            for (app, (clean, contained)) in runs {
+                prop_assert_eq!(
+                    &clean.engine_trace, &contained.engine_trace,
+                    "{} x{}: engine trace", app, threads
+                );
+                prop_assert_eq!(clean.records.len(), contained.records.len());
+                for (a, b) in clean.records.iter().zip(&contained.records) {
+                    let at = (app, threads, a.iteration);
+                    prop_assert_eq!(a.engine, b.engine, "{:?}", at);
+                    prop_assert_eq!(
+                        a.frontier_density.to_bits(), b.frontier_density.to_bits(), "{:?}", at
+                    );
+                    prop_assert_eq!(a.pull_compacted, b.pull_compacted, "{:?}", at);
+                    prop_assert_eq!(a.active_vectors, b.active_vectors, "{:?}", at);
+                    prop_assert_eq!(a.scatter_mode, b.scatter_mode, "{:?}", at);
+                    prop_assert_eq!(a.dir_frontier_edges, b.dir_frontier_edges, "{:?}", at);
+                    prop_assert_eq!(a.dir_unvisited_edges, b.dir_unvisited_edges, "{:?}", at);
+                }
+            }
         }
     }
 

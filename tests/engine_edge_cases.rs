@@ -7,14 +7,12 @@
 
 use grazelle::core::config::{EngineConfig, ResilienceConfig, ScatterMode};
 use grazelle::core::engine::hybrid::{run_program_on_pool, EngineKind};
-use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers};
+use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers, PullSpace};
 use grazelle::core::engine::pull_wide::edge_pull8;
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::spmv::{program_kernel, SemiringKernel};
 use grazelle::core::stats::Profiler;
-use grazelle::core::{
-    run_resilient_on_pool, GraphProgram, PullMode, ResilienceContext, RunOutcome,
-};
+use grazelle::core::{run_resilient_on_pool, GraphProgram, ResilienceContext, RunOutcome};
 use grazelle::graph::edgelist::EdgeList;
 use grazelle::prelude::*;
 use grazelle_apps::{bfs, cc, labelprop, triangle, Bfs, ConnectedComponents, LabelProp};
@@ -71,7 +69,7 @@ fn check_every_engine(g: &Graph, label: &str) {
             run_program_on_pool(&pg, &prog, &cfg, &pool);
             assert_eq!(prog.labels(), want_lp, "{label}/{cname}x{threads}: LP");
             assert_eq!(
-                triangle::counts_prepared(g, &pg, &cfg, &pool),
+                triangle::counts_prepared(g, &pg, &cfg, &pool).expect("exact interface"),
                 want_tc,
                 "{label}/{cname}x{threads}: TC"
             );
@@ -136,11 +134,11 @@ fn check_wide_engine(g: &Graph, label: &str) {
         &vsd,
         &kern4,
         &frontier,
+        PullSpace::Full(&scheds),
         &pool,
-        &scheds,
         &mut merge,
-        PullMode::SchedulerAware,
         &prof,
+        None,
     );
 
     let vsd8 = VectorSparse::<8>::from_csr(g.in_csr());

@@ -9,8 +9,8 @@
 
 #![cfg(feature = "invariant-checks")]
 
-use grazelle::core::config::{EngineConfig, Granularity, PullMode};
-use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers, MergeEntry};
+use grazelle::core::config::{EngineConfig, Granularity};
+use grazelle::core::engine::pull::{edge_pull, EdgeSchedulers, MergeEntry, PullSpace};
 use grazelle::core::engine::PreparedGraph;
 use grazelle::core::frontier::Frontier;
 use grazelle::core::program::{AggOp, GraphProgram};
@@ -121,16 +121,7 @@ proptest! {
             let prof = Profiler::with_tracker();
             let kern = program_kernel(&prog, &vsd, Kernels::auto());
             // Panics internally on any §3 contract violation.
-            edge_pull(
-                &vsd,
-                &kern,
-                &Frontier::all(n),
-                &pool,
-                &scheds,
-                &mut merge,
-                PullMode::SchedulerAware,
-                &prof,
-            );
+            edge_pull(&vsd, &kern, &Frontier::all(n), PullSpace::Full(&scheds), &pool, &mut merge, &prof, None);
             let t = prof.tracker.as_ref().expect("tracker installed");
             prop_assert_eq!(t.phases_checked(), 1);
             // In-degree sums must still be exact.
